@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
     for (int variant = 0; variant < 4; ++variant) {
       TestGenConfig cfg = paper_config_for(name);
       cfg.prune_untestable = args.prune_untestable;
-      cfg.fsim_backend = args.fsim_backend;
       switch (variant) {
         case 1: cfg.use_activity_fitness = false; break;
         case 2: cfg.enable_sequence_phase = false; break;

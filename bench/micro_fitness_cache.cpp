@@ -1,14 +1,14 @@
-// Micro-benchmark for the fitness hot-path acceleration layer.
+// Micro-benchmark for the genome→fitness memoization cache.
 //
 // Workload: GATEST's phase-2 inner loop on s344 — a committed vector prefix
-// gives the machine realistic state and a partially-dropped fault list (the
-// sparse packed-lane tail compaction exists for), then a candidate stream
-// with the duplicate rate of an overlapping-population GA (each unique
-// candidate scored a few times) is evaluated through FitnessEvaluator.
+// gives the machine realistic state and a partially-dropped fault list, then
+// a candidate stream with the duplicate rate of an overlapping-population GA
+// (each unique candidate scored a few times) is evaluated through
+// FitnessEvaluator.
 //
 // Two configurations, measured ABBA best-of-N:
-//   plain  — cache off, lane compaction off (seed behavior)
-//   accel  — genome memoization cache + activity-ordered lane compaction
+//   plain  — cache off (seed behavior)
+//   accel  — genome memoization cache
 //
 // `--check` gates accel >= kRequiredSpeedup x plain, which is how
 // run_experiments.sh holds the acceleration claim; the fitness sums of both
@@ -54,7 +54,6 @@ struct SampleResult {
   double fitness_sum = 0.0;
   std::size_t sim_evals = 0;
   std::size_t cache_hits = 0;
-  std::uint64_t compactions = 0;
 };
 
 /// One timed pass of the phase-2 workload.  Setup (circuit state, candidate
@@ -64,10 +63,7 @@ SampleResult run_sample(const Circuit& c, bool accel) {
   SequentialFaultSimulator sim(c, faults);
   TestGenConfig cfg;
   FitnessEvaluator fit(sim, cfg);
-  if (accel) {
-    sim.set_lane_compaction(true);
-    fit.set_cache(true);
-  }
+  if (accel) fit.set_cache(true);
 
   Rng rng(2024);
   for (unsigned i = 0; i < kCommittedPrefix; ++i)
@@ -95,7 +91,6 @@ SampleResult run_sample(const Circuit& c, bool accel) {
   r.seconds = t.elapsed_seconds();
   r.sim_evals = fit.sim_evaluations();
   r.cache_hits = fit.cache_stats().hits;
-  r.compactions = sim.counters().lane_compactions;
   return r;
 }
 
@@ -167,20 +162,13 @@ int main(int argc, char** argv) {
     if (!check || speedup >= required) break;
   }
 
-  AsciiTable table({"Config", "Best (ms)", "Sim evals", "Cache hits",
-                    "Compactions"});
+  AsciiTable table({"Config", "Best (ms)", "Sim evals", "Cache hits"});
   table.add_row({"plain", strprintf("%.3f", 1e3 * plain_best),
                  strprintf("%zu", warm_plain.sim_evals),
-                 strprintf("%zu", warm_plain.cache_hits),
-                 strprintf("%llu",
-                           static_cast<unsigned long long>(
-                               warm_plain.compactions))});
-  table.add_row({"cache+compaction", strprintf("%.3f", 1e3 * accel_best),
+                 strprintf("%zu", warm_plain.cache_hits)});
+  table.add_row({"cache", strprintf("%.3f", 1e3 * accel_best),
                  strprintf("%zu", warm_accel.sim_evals),
-                 strprintf("%zu", warm_accel.cache_hits),
-                 strprintf("%llu",
-                           static_cast<unsigned long long>(
-                               warm_accel.compactions))});
+                 strprintf("%zu", warm_accel.cache_hits)});
   table.print(std::cout);
 
   std::printf(

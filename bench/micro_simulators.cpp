@@ -1,37 +1,26 @@
-// Fault-simulation backend shoot-out.
+// Fault-simulator throughput on a dense-activity evaluate stream.
 //
-// Workload: the dense-activity inner loop that dominates GATEST phase 2/3 —
-// a committed vector prefix gives the machine realistic state with the fault
-// universe still mostly undetected, then a candidate stream is scored with
-// evaluate_vector() against the full remaining universe.  Early-run fitness
-// evaluation is exactly where the packed-lane engines differ: every frame
-// touches hundreds of live faults, so word width and settling strategy set
-// the wall clock.
+// Workload: the inner loop of GATEST phases 2/3 — a committed vector prefix
+// gives the machine realistic state with the fault universe still mostly
+// undetected, then a candidate stream is scored with evaluate_vector()
+// against the full remaining universe.  Every frame touches hundreds of live
+// faults, so the packed-lane kernel sets the wall clock.
 //
-// Every registered backend (fsim/backend.h) runs the identical workload.
-// Before anything is timed, the per-frame observables of every backend are
-// checked for exact agreement with the event-driven reference — a speedup
-// number for an engine that diverges is meaningless, so the bench aborts.
-//
-// Timing is ABBA best-of-N against the "event" reference: each pair measures
-// (event, candidate) in alternating order so machine-load drift cancels, and
-// minima only tighten with more samples.  `--check` gates the levelized
-// engine at >= kRequiredSpeedup x event, which is how run_experiments.sh
-// holds the kernel's performance claim; `--json` writes one bench-registry
-// entry per backend for scripts/bench_regress.py.
+// The bench prints the best-of-N time of the stream and a digest of every
+// fitness observable the stream produced.  `--json` writes both as one
+// bench-registry entry for scripts/bench_regress.py; ctest's
+// bench_regress_exact holds the digest to the committed baseline.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "circuitgen/circuitgen.h"
 #include "experiments/bench_record.h"
 #include "fault/fault.h"
-#include "fsim/backend.h"
+#include "fsim/fault_sim.h"
 #include "util/rng.h"
-#include "util/table.h"
 #include "util/timer.h"
 
 using namespace gatest;
@@ -48,41 +37,29 @@ TestVector random_vector(const Circuit& c, Rng& rng) {
 }
 
 /// Deterministic digest of everything a fitness function reads from a
-/// FaultSimStats, summed over the candidate stream.  Two backends whose
-/// digests match produced bit-identical fitness observables for every
-/// candidate (full per-frame equality is gtest-enforced by the backend
-/// conformance suite; the digest is the cheap in-bench tripwire).
+/// FaultSimStats, summed over the candidate stream.
 struct WorkloadDigest {
   std::uint64_t detected = 0;
   std::uint64_t effects = 0;
   std::uint64_t good_events = 0;
   std::uint64_t faulty_events = 0;
-  std::uint64_t ffs = 0;
-
-  bool operator==(const WorkloadDigest& o) const {
-    return detected == o.detected && effects == o.effects &&
-           good_events == o.good_events && faulty_events == o.faulty_events &&
-           ffs == o.ffs;
-  }
 };
 
 struct SampleResult {
   double seconds = 0.0;
   WorkloadDigest digest;
-  std::uint64_t lane_width = 0;
 };
 
-/// One pass of the workload on a fresh instance of `backend`.  Setup (the
-/// committed prefix and candidate stream) is seed-deterministic and identical
-/// for every backend; only the evaluate_vector stream is timed.
-SampleResult run_sample(const Circuit& c, const std::string& backend) {
+/// One pass of the workload on a fresh simulator.  Setup (the committed
+/// prefix and candidate stream) is seed-deterministic; only the
+/// evaluate_vector stream is timed.
+SampleResult run_sample(const Circuit& c) {
   FaultList faults(c);
-  std::unique_ptr<FaultSimBackend> sim =
-      make_fault_sim_backend(backend, c, faults);
+  SequentialFaultSimulator sim(c, faults);
 
   Rng rng(4242);
   for (unsigned i = 0; i < kCommittedPrefix; ++i)
-    sim->apply_vector(random_vector(c, rng), static_cast<std::int64_t>(i));
+    sim.apply_vector(random_vector(c, rng), static_cast<std::int64_t>(i));
 
   std::vector<TestVector> stream;
   stream.reserve(kEvalStream);
@@ -90,15 +67,13 @@ SampleResult run_sample(const Circuit& c, const std::string& backend) {
     stream.push_back(random_vector(c, rng));
 
   SampleResult r;
-  r.lane_width = sim->lane_width();
   Timer t;
   for (const TestVector& v : stream) {
-    const FaultSimStats s = sim->evaluate_vector(v);
+    const FaultSimStats s = sim.evaluate_vector(v);
     r.digest.detected += s.detected;
     r.digest.effects += s.fault_effects_at_ffs;
     r.digest.good_events += s.good_events;
     r.digest.faulty_events += s.faulty_events;
-    r.digest.ffs += s.ffs_set + s.ffs_changed;
   }
   r.seconds = t.elapsed_seconds();
   return r;
@@ -107,27 +82,22 @@ SampleResult run_sample(const Circuit& c, const std::string& backend) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check = false;
-  unsigned pairs = 3;
-  double required = 1.5;
+  unsigned runs = 3;
   std::string circuit_name = "s1423", json_out;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--check") check = true;
-    else if (a == "--full") pairs = 9;
+    if (a == "--full") runs = 9;
     else if (a.rfind("--runs=", 0) == 0)
-      pairs = std::max(1u, static_cast<unsigned>(
-                               std::strtoul(a.c_str() + 7, nullptr, 10)));
-    else if (a.rfind("--speedup=", 0) == 0)
-      required = std::strtod(a.c_str() + 10, nullptr);
+      runs = std::max(1u, static_cast<unsigned>(
+                              std::strtoul(a.c_str() + 7, nullptr, 10)));
     else if (a.rfind("--circuit=", 0) == 0)
       circuit_name = a.substr(10);
     else if (a.rfind("--json=", 0) == 0)
       json_out = a.substr(7);
     else if (a == "--help" || a == "-h") {
       std::fprintf(stderr,
-                   "usage: %s [--check] [--runs=N] [--speedup=F] [--full] "
-                   "[--circuit=NAME] [--json=FILE]\n"
+                   "usage: %s [--runs=N] [--full] [--circuit=NAME] "
+                   "[--json=FILE]\n"
                    "(other bench-suite flags are accepted and ignored)\n",
                    argv[0]);
       return 0;
@@ -137,87 +107,40 @@ int main(int argc, char** argv) {
   }
 
   const Circuit& c = benchmark_circuit(circuit_name);
-  const std::vector<std::string>& backends = fault_sim_backend_names();
-
-  // Warm every backend once; the warm pass doubles as the agreement check.
-  std::vector<SampleResult> warm;
-  for (const std::string& b : backends) warm.push_back(run_sample(c, b));
-  for (std::size_t i = 1; i < backends.size(); ++i) {
-    if (!(warm[i].digest == warm[0].digest)) {
-      std::fprintf(stderr,
-                   "micro_simulators: FAIL — backend '%s' diverges from "
-                   "'%s' on the workload digest\n",
-                   backends[i].c_str(), backends[0].c_str());
-      return 1;
-    }
+  const SampleResult warm = run_sample(c);
+  double best = 0.0;
+  for (unsigned r = 0; r < runs; ++r) {
+    const double s = run_sample(c).seconds;
+    if (r == 0 || s < best) best = s;
   }
 
-  // ABBA best-of-N: each non-reference backend is paired against the event
-  // reference, alternating measurement order.  Under --check a below-
-  // threshold levelized result gets extra rounds before failing — minima
-  // only tighten, so noise can't rescue a genuinely slow kernel.
-  std::vector<double> best(backends.size(), 0.0);
-  double levelized_speedup = 0.0;
-  unsigned sampled = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (unsigned r = 0; r < pairs; ++r, ++sampled) {
-      for (std::size_t i = 0; i < backends.size(); ++i) {
-        const std::size_t b = r % 2 == 0 ? i : backends.size() - 1 - i;
-        const double s = run_sample(c, backends[b]).seconds;
-        if (sampled == 0 || s < best[b]) best[b] = s;
-      }
-    }
-    levelized_speedup = 0.0;
-    for (std::size_t i = 0; i < backends.size(); ++i)
-      if (backends[i] == "levelized" && best[i] > 0.0)
-        levelized_speedup = best[0] / best[i];
-    if (!check || levelized_speedup >= required) break;
-  }
-
-  AsciiTable table({"Backend", "Lanes", "Best (ms)", "Speedup vs event"});
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    table.add_row({backends[i],
-                   strprintf("%llu", static_cast<unsigned long long>(
-                                         warm[i].lane_width)),
-                   strprintf("%.3f", 1e3 * best[i]),
-                   strprintf("%.2fx", best[i] > 0.0 ? best[0] / best[i] : 0.0)});
-  }
-  table.print(std::cout);
-
+  const WorkloadDigest& d = warm.digest;
   std::printf(
-      "\n%s evaluate stream (%u committed + %u evaluated, full universe), "
-      "best of %u pairs — levelized speedup %.2fx (required %.2fx)\n",
-      circuit_name.c_str(), kCommittedPrefix, kEvalStream, sampled,
-      levelized_speedup, required);
+      "%s evaluate stream (%u committed + %u evaluated, full universe, %u "
+      "lanes): best of %u runs %.3f ms\n"
+      "digest: detected %llu, effects %llu, good events %llu, faulty events "
+      "%llu\n",
+      circuit_name.c_str(), kCommittedPrefix, kEvalStream, kFaultSimLanes,
+      runs, 1e3 * best, static_cast<unsigned long long>(d.detected),
+      static_cast<unsigned long long>(d.effects),
+      static_cast<unsigned long long>(d.good_events),
+      static_cast<unsigned long long>(d.faulty_events));
 
   if (!json_out.empty()) {
     bench::RecordWriter rec("micro_simulators");
-    rec.param("pairs", static_cast<double>(pairs));
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-      rec.begin_entry(circuit_name, backends[i]);
-      rec.exact("lane_width", static_cast<double>(warm[i].lane_width));
-      rec.exact("detected_sum", static_cast<double>(warm[i].digest.detected));
-      rec.exact("effects_sum", static_cast<double>(warm[i].digest.effects));
-      rec.exact("good_events_sum",
-                static_cast<double>(warm[i].digest.good_events));
-      rec.exact("faulty_events_sum",
-                static_cast<double>(warm[i].digest.faulty_events));
-      rec.perf("best_seconds", best[i]);
-    }
+    rec.param("runs", static_cast<double>(runs));
+    rec.begin_entry(circuit_name, "event");
+    rec.exact("lane_width", static_cast<double>(kFaultSimLanes));
+    rec.exact("detected_sum", static_cast<double>(d.detected));
+    rec.exact("effects_sum", static_cast<double>(d.effects));
+    rec.exact("good_events_sum", static_cast<double>(d.good_events));
+    rec.exact("faulty_events_sum", static_cast<double>(d.faulty_events));
+    rec.perf("best_seconds", best);
     std::string err;
     if (!rec.write(json_out, err)) {
       std::fprintf(stderr, "micro_simulators: %s\n", err.c_str());
       return 1;
     }
   }
-
-  if (check && levelized_speedup < required) {
-    std::fprintf(stderr,
-                 "micro_simulators: FAIL — levelized speedup %.2fx below "
-                 "required %.2fx\n",
-                 levelized_speedup, required);
-    return 1;
-  }
-  if (check) std::printf("micro_simulators: speedup check passed\n");
   return 0;
 }

@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
       TestGenConfig cfg = paper_config_for(name);
       cfg.prune_untestable = args.prune_untestable;
-      cfg.fsim_backend = args.fsim_backend;
       cfg.num_threads = thread_counts[i];
       const RunSummary s = run_gatest_repeated(name, cfg, args.runs, args.seed);
       record_summary(rec, name, strprintf("threads%u", thread_counts[i]), s);

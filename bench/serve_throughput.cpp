@@ -13,6 +13,11 @@
 //   3. 4-worker throughput >= 2x 1-worker throughput, gated only when the
 //      machine exposes >= 4 hardware threads (a single-core container can't
 //      speed up CPU-bound work; identity and completion still gate).
+//
+// Each worker count runs twice in ABBA order (1, 4, 4, 1) and the gate
+// compares the best wall time of each: one run is ~1 s, so a stall of
+// other processes on the machine decides a single sample, while the best of
+// two interleaved samples measures the pool's capacity.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -193,8 +198,8 @@ int main(int argc, char** argv) {
   for (const JobSpec& j : jobs) golden[j.name] = golden_run(j);
 
   int failures = 0;
-  std::map<unsigned, PoolResult> results;
-  for (unsigned workers : {1u, 4u}) {
+  std::map<unsigned, PoolResult> results;  // fastest run per worker count
+  for (unsigned workers : {1u, 4u, 4u, 1u}) {
     PoolResult r = run_pool(jobs, workers, slice);
     std::printf(
         "workers=%u: %zu/%zu done, %.2fs wall, %.2f jobs/sec, %llu "
@@ -215,7 +220,11 @@ int main(int argc, char** argv) {
         ++failures;
       }
     }
-    results.emplace(workers, std::move(r));
+    const auto best = results.find(workers);
+    if (best == results.end())
+      results.emplace(workers, std::move(r));
+    else if (r.wall < best->second.wall)
+      best->second = std::move(r);
   }
 
   if (!json_out.empty()) {
@@ -240,7 +249,8 @@ int main(int argc, char** argv) {
 
   const double t1 = results.at(1).wall, t4 = results.at(4).wall;
   const double ratio = t4 > 0 ? t1 / t4 : 0.0;
-  std::printf("\nthroughput ratio (4 workers vs 1): %.2fx\n", ratio);
+  std::printf("\nthroughput ratio (4 workers vs 1, best of 2 each): %.2fx\n",
+              ratio);
   if (hw >= 4) {
     if (ratio < 2.0) {
       std::printf("FAIL: expected >= 2x with %u hardware threads\n", hw);

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
     TestGenConfig cfg = paper_config_for(name);
     cfg.prune_untestable = args.prune_untestable;
     cfg.prune_proven = args.prune_proven;
-    cfg.fsim_backend = args.fsim_backend;
     const RunSummary ga = run_gatest_repeated(name, cfg, args.runs, args.seed);
 
     record_summary(rec, name, "ga", ga);

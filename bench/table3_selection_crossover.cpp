@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
         const CrossoverScheme xov = kXov[xi];
         TestGenConfig cfg = paper_config_for(name);
       cfg.prune_untestable = args.prune_untestable;
-      cfg.fsim_backend = args.fsim_backend;
         cfg.selection = sel;
         cfg.crossover = xov;
         const RunSummary s =

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
     for (double rate : rates) {
       TestGenConfig cfg = paper_config_for(name);
       cfg.prune_untestable = args.prune_untestable;
-      cfg.fsim_backend = args.fsim_backend;
       cfg.seq_mutation = rate;
       const RunSummary s = run_gatest_repeated(name, cfg, args.runs, args.seed);
       record_summary(rec, name, strprintf("1/%.0f", 1.0 / rate), s);

@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
       for (Coding coding : {Coding::Binary, Coding::NonBinary}) {
         TestGenConfig cfg = paper_config_for(name);
       cfg.prune_untestable = args.prune_untestable;
-      cfg.fsim_backend = args.fsim_backend;
         cfg.seq_population = pop;
         cfg.sequence_coding = coding;
         const RunSummary s =

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   for (const std::string& name : circuits) {
     TestGenConfig base = paper_config_for(name);
     base.prune_untestable = args.prune_untestable;
-    base.fsim_backend = args.fsim_backend;
     const RunSummary full =
         run_gatest_repeated(name, base, args.runs, args.seed);
     record_summary(rec, name, "full", full);

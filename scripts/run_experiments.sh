@@ -30,27 +30,18 @@ echo "sanitized smoke passed (exit 0)"
 rm -f "$smoke_ckpt" "$smoke_ckpt.tmp"
 
 # ASan+UBSan differential fuzz: 50 random sequential circuits through the
-# naive reference, the packed simulator (with and without aggressive lane
-# compaction and proven pruning), and the levelized wide-word engine in both
-# its native and forced-portable dispatch — detection sets and every fitness
-# observable must agree exactly while the sanitizers watch the packed
-# kernels.  The backend conformance suite then exercises the full
-# FaultSimBackend contract per registered engine under the same sanitizers.
+# naive reference, the packed simulator and the packed simulator with proven
+# pruning — detection sets and every fitness observable, for committed
+# vectors and for scored candidate sequences, must agree exactly while the
+# sanitizers watch the packed kernel.
 echo "=== sanitized differential fuzz (fsim vs reference) ==="
-cmake --build build-sanitize --target fsim_test fsim_backend_conformance_test
+cmake --build build-sanitize --target fsim_test
 build-sanitize/tests/fsim_test --gtest_filter='FsimDifferentialFuzz*'
-build-sanitize/tests/fsim_backend_conformance_test
 
-# Backend shoot-out gate: every registered fault-sim backend must produce an
-# identical workload digest, and the levelized kernel must beat the event
-# engine by >= 1.5x on the dense-activity evaluate stream.
-echo "=== fault-sim backend shoot-out gate ==="
-build/bench/micro_simulators --check
-
-# Fitness hot-path acceleration gate: the memoization cache + lane
-# compaction must deliver >= 1.25x on the s344 phase-2 evaluation stream
-# (and produce bit-identical fitness sums, checked inside the bench).
-echo "=== fitness cache/compaction speedup gate ==="
+# Fitness cache gate: the memoization cache must deliver >= 1.25x on the
+# s344 phase-2 evaluation stream (and produce bit-identical fitness sums,
+# checked inside the bench).
+echo "=== fitness cache speedup gate ==="
 build/bench/micro_fitness_cache --check
 
 # Line-coverage summary for the hot-path libraries (gcov-based; skips

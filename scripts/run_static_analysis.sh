@@ -58,10 +58,10 @@ build-tsan/tools/gatest_atpg --profile s298 --engine ga --seed 1 \
     --threads 4 --max-evals 2000 --trace-out "$tsan_trace" \
     --metrics-out /dev/null || fail=1
 rm -f "$tsan_trace"
-# Same path with the fitness hot-path acceleration on: per-worker caches and
-# compacted per-worker simulators must stay data-race free at 4 threads.
+# Same path with the fitness cache on: per-worker caches must stay data-race
+# free at 4 threads.
 build-tsan/tools/gatest_atpg --profile s298 --engine ga --seed 1 \
-    --threads 4 --max-evals 2000 --fitness-cache --lane-compaction \
+    --threads 4 --max-evals 2000 --fitness-cache \
     --metrics-out /dev/null || fail=1
 # Unit coverage of the pool itself (exception propagation, reuse) and the
 # parallel-vs-serial identity of the generator.
@@ -70,11 +70,9 @@ build-tsan/tests/run_control_test --gtest_filter='*Parallel*' || fail=1
 # Concurrent metrics updates and the telemetry-attached identity check.
 build-tsan/tests/telemetry_test || fail=1
 # Differential fuzz sweep under TSan (serial, but catches lurking UB that
-# TSan's instrumentation surfaces differently than a plain build), plus the
-# backend conformance suite over every registered fault-sim engine.
-cmake --build build-tsan --target fsim_test fsim_backend_conformance_test
+# TSan's instrumentation surfaces differently than a plain build).
+cmake --build build-tsan --target fsim_test
 build-tsan/tests/fsim_test --gtest_filter='FsimDifferentialFuzz*' || fail=1
-build-tsan/tests/fsim_backend_conformance_test || fail=1
 # Serve daemon under TSan: 4 scheduler workers slicing 4 jobs at an
 # aggressive 20 ms quantum while loadgen polls over TCP and a second
 # process scrapes the HTTP observability endpoints in a tight loop —
@@ -156,11 +154,9 @@ if command -v clang++ >/dev/null 2>&1; then
     echo "=== MemorySanitizer smoke (implication prover + differential fuzz) ==="
     cmake -B build-msan -G Ninja -DGATEST_MSAN=ON \
           -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build build-msan --target analysis_test fsim_test \
-        fsim_backend_conformance_test
+    cmake --build build-msan --target analysis_test fsim_test
     build-msan/tests/analysis_test || fail=1
     build-msan/tests/fsim_test --gtest_filter='FsimDifferentialFuzz*' || fail=1
-    build-msan/tests/fsim_backend_conformance_test || fail=1
   else
     echo "=== MSan probe failed (standard library not MSan-instrumented); skipping MSan stage ==="
   fi

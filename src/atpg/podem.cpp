@@ -3,41 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/packed.h"
+
 namespace gatest {
-
-namespace {
-
-Logic eval3(GateType t, const std::vector<Logic>& ins) {
-  switch (t) {
-    case GateType::Const0: return Logic::Zero;
-    case GateType::Const1: return Logic::One;
-    case GateType::Buf:
-    case GateType::Dff:    return ins[0];
-    case GateType::Not:    return logic_not(ins[0]);
-    case GateType::And:
-    case GateType::Nand: {
-      Logic acc = ins[0];
-      for (std::size_t i = 1; i < ins.size(); ++i) acc = logic_and(acc, ins[i]);
-      return t == GateType::Nand ? logic_not(acc) : acc;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      Logic acc = ins[0];
-      for (std::size_t i = 1; i < ins.size(); ++i) acc = logic_or(acc, ins[i]);
-      return t == GateType::Nor ? logic_not(acc) : acc;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      Logic acc = ins[0];
-      for (std::size_t i = 1; i < ins.size(); ++i) acc = logic_xor(acc, ins[i]);
-      return t == GateType::Xnor ? logic_not(acc) : acc;
-    }
-    case GateType::Input: return Logic::X;
-  }
-  return Logic::X;
-}
-
-}  // namespace
 
 TimeFramePodem::TimeFramePodem(const Circuit& c, unsigned max_frames,
                                unsigned backtrack_limit)
@@ -61,18 +29,18 @@ Logic TimeFramePodem::site_good(const Fault& f, std::uint32_t frame) const {
 DVal TimeFramePodem::eval_gate(const Fault& f, std::uint32_t frame,
                                GateId g) const {
   const Gate& gate = circuit_->gate(g);
-  std::vector<Logic> gin(gate.fanins.size());
-  std::vector<Logic> fin(gate.fanins.size());
-  for (std::size_t i = 0; i < gate.fanins.size(); ++i) {
-    const DVal v = val_[idx(frame, gate.fanins[i])];
-    gin[i] = v.good;
-    fin[i] = v.faulty;
-  }
-  // Inject a pin fault into the faulty side of this gate's view.
-  if (f.pin != Fault::kOutputPin && f.gate == g)
-    fin[static_cast<std::size_t>(f.pin)] =
-        f.stuck ? Logic::One : Logic::Zero;
-  DVal out{eval3(gate.type, gin), eval3(gate.type, fin)};
+  // A pin fault on this gate is injected into the faulty side of its view.
+  const bool pin_fault = f.pin != Fault::kOutputPin && f.gate == g;
+  const auto good = [&](std::size_t i) {
+    return val_[idx(frame, gate.fanins[i])].good;
+  };
+  const auto faulty = [&](std::size_t i) {
+    if (pin_fault && static_cast<std::size_t>(f.pin) == i)
+      return f.stuck ? Logic::One : Logic::Zero;
+    return val_[idx(frame, gate.fanins[i])].faulty;
+  };
+  DVal out{eval_logic_gate(gate.type, gate.fanins.size(), good),
+           eval_logic_gate(gate.type, gate.fanins.size(), faulty)};
   // An output fault forces the faulty side of this net in every frame.
   if (f.pin == Fault::kOutputPin && f.gate == g)
     out.faulty = f.stuck ? Logic::One : Logic::Zero;

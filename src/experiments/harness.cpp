@@ -8,7 +8,6 @@
 
 #include "circuitgen/circuitgen.h"
 #include "fault/fault.h"
-#include "fsim/backend.h"
 #include "telemetry/log.h"
 
 namespace gatest {
@@ -146,16 +145,6 @@ BenchArgs parse_bench_args(int argc, char** argv) {
       args.prune_untestable = true;
     } else if (a == "--prune-proven") {
       args.prune_proven = true;
-    } else if (a.rfind("--fsim-backend=", 0) == 0) {
-      args.fsim_backend = a.substr(15);
-      if (!fault_sim_backend_known(args.fsim_backend)) {
-        std::fprintf(stderr, "unknown fault-sim backend '%s' (registered:",
-                     args.fsim_backend.c_str());
-        for (const std::string& n : fault_sim_backend_names())
-          std::fprintf(stderr, " %s", n.c_str());
-        std::fprintf(stderr, ")\n");
-        std::exit(2);
-      }
     } else if (a == "--quiet") {
       telemetry::global_logger().set_level(telemetry::LogLevel::Quiet);
     } else if (a == "--verbose") {
@@ -164,8 +153,7 @@ BenchArgs parse_bench_args(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--runs=N] [--circuits=a,b,c] [--full] "
                    "[--seed=S] [--prune-untestable] [--prune-proven] "
-                   "[--fsim-backend=NAME] [--json=FILE] [--quiet] "
-                   "[--verbose]\n",
+                   "[--json=FILE] [--quiet] [--verbose]\n",
                    argv[0]);
       std::exit(0);
     } else {

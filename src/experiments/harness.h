@@ -70,10 +70,6 @@ struct BenchArgs {
   /// inert proven faults leave the simulated universe; observables are
   /// bit-identical (see DESIGN.md §4h) and tables add Proven/Inert columns.
   bool prune_proven = false;
-  /// Fault-simulation engine (TestGenConfig::fsim_backend): every registered
-  /// backend produces bit-identical results, so tables are unchanged and the
-  /// flag only moves wall-clock time.
-  std::string fsim_backend = "event";
   /// Write a machine-readable bench record (experiments/bench_record.h) for
   /// the bench-regression registry; empty = don't.
   std::string json_out;

@@ -1,245 +1,29 @@
-// Pluggable fault-simulation backend contract.
+// Construction of the fault simulator by engine name.
 //
-// The GA test generator, the fitness evaluator, checkpoint/resume, the serve
-// daemon, and the bench harnesses all drive a fault simulator exclusively
-// through this interface: committed simulation (apply_*/replay), candidate
-// evaluation, snapshot/restore, fault-status export/import, the committed-
-// state epoch that memoization keys on, lane-compaction hooks, and the
-// telemetry counters.  Engines differ only in *how* they settle the faulty
-// machines — every observable (detections, fault effects at flip-flops,
-// good/faulty event counts, flip-flop states) must be bit-identical across
-// backends, a contract enforced by tests/fsim_backend_conformance_test.cpp,
-// the 50-circuit differential fuzz, and the CLI golden/identity gates.
-//
-// Registered engines:
-//   * "event"     — the PROOFS-style event-driven simulator (64-lane packed
-//                   words, event propagation from injection sites and
-//                   diverged flip-flops).  The reference implementation.
-//   * "levelized" — a levelized table-driven kernel packing faults into
-//                   256-lane words (4x uint64_t, AVX2 intrinsics when the CPU
-//                   has them, portable word loops otherwise; see
-//                   levelized_sim.h).  Wins on dense-activity workloads where
-//                   most of the circuit is live anyway.
+// The repo has one fault-simulation engine, "event": the PROOFS-style
+// SequentialFaultSimulator in fsim/fault_sim.h.  Construction by name stays
+// because TestGenConfig::fsim_backend still carries one, and a stale or
+// unknown name must fail loudly rather than silently run the default.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <span>
+#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "fault/fault.h"
+#include "fsim/fault_sim.h"
 #include "netlist/circuit.h"
-#include "sim/logic.h"
 
 namespace gatest {
 
-/// Observables from simulating one vector (or accumulated over a sequence).
-/// These are exactly the quantities GATEST's four fitness phases consume.
-struct FaultSimStats {
-  /// Faults newly detected at a primary output (definite binary difference).
-  unsigned detected = 0;
-  /// (fault, flip-flop) pairs where a definite fault effect (good and faulty
-  /// next-state both binary and different) reached a flip-flop.
-  unsigned fault_effects_at_ffs = 0;
-  /// Fault-free machine events: gates whose value changed this frame.
-  std::uint64_t good_events = 0;
-  /// Faulty machine events: per-lane value deviations created while settling
-  /// the fault groups (proxy for faulty-circuit activity, cf. paper §III-B).
-  std::uint64_t faulty_events = 0;
-  /// Fault-free flip-flops holding a binary value after the frame.
-  unsigned ffs_set = 0;
-  /// Fault-free flip-flops whose value changed to a (different) binary value.
-  unsigned ffs_changed = 0;
-  /// Number of faults actually simulated (sample size in sampling mode).
-  unsigned faults_simulated = 0;
-
-  void accumulate(const FaultSimStats& s) {
-    detected += s.detected;
-    fault_effects_at_ffs += s.fault_effects_at_ffs;
-    good_events += s.good_events;
-    faulty_events += s.faulty_events;
-    ffs_set = s.ffs_set;          // state-like: keep last frame's
-    ffs_changed += s.ffs_changed;
-    faults_simulated = std::max(faults_simulated, s.faults_simulated);
-  }
-};
-
-/// Lifetime workload counters, accumulated across every call (telemetry).
-/// Plain non-atomic fields: a simulator instance is confined to one thread;
-/// parallel runs use one simulator per worker and merge with accumulate().
-/// Observation-only — nothing in the simulator reads them back.
-struct FsimCounters {
-  std::uint64_t vectors_committed = 0;    ///< committed frames (apply_*)
-  std::uint64_t candidate_evaluations = 0;///< evaluate_* calls
-  std::uint64_t frames_simulated = 0;     ///< frames incl. candidate frames
-  std::uint64_t good_events = 0;          ///< fault-free machine events
-  std::uint64_t faulty_events = 0;        ///< packed faulty-machine events
-  std::uint64_t faults_dropped = 0;       ///< faults detected & dropped (commit)
-  std::uint64_t fault_groups = 0;         ///< packed groups settled
-  std::uint64_t fault_group_lanes = 0;    ///< faults across those groups
-  std::uint64_t lane_compactions = 0;     ///< activity-order rebuilds
-  /// Bit lanes per packed fault group: 64 for the event engine, 256 for the
-  /// levelized wide-word engine.  Denominator of packed_utilization().
-  std::uint64_t lane_width = 64;
-
-  /// Mean occupancy of the packed bit lanes, in [0, 1].  Low values mean the
-  /// undetected-fault tail no longer fills packed words.
-  double packed_utilization() const {
-    return fault_groups == 0
-               ? 0.0
-               : static_cast<double>(fault_group_lanes) /
-                     (static_cast<double>(lane_width) *
-                      static_cast<double>(fault_groups));
-  }
-
-  void accumulate(const FsimCounters& o) {
-    vectors_committed += o.vectors_committed;
-    candidate_evaluations += o.candidate_evaluations;
-    frames_simulated += o.frames_simulated;
-    good_events += o.good_events;
-    faulty_events += o.faulty_events;
-    faults_dropped += o.faults_dropped;
-    fault_groups += o.fault_groups;
-    fault_group_lanes += o.fault_group_lanes;
-    lane_compactions += o.lane_compactions;
-    lane_width = std::max(lane_width, o.lane_width);
-  }
-};
-
-/// When to re-derive the packed-lane order from measured occupancy (see
-/// FaultSimBackend::set_lane_compaction): after at least `min_commits`
-/// committed frames since the last rebuild, and only once mean lane occupancy
-/// over that window has fallen below `occupancy_threshold`.
-struct LaneCompactionPolicy {
-  double occupancy_threshold = 0.90;
-  unsigned min_commits = 8;
-};
-
-/// Everything needed to roll a simulator back: good values, per-fault state
-/// diffs, and fault detection status.  Engine-independent — a snapshot taken
-/// from one backend restores into any other (both keep faulty state as
-/// per-fault flip-flop diff lists against the good machine).
-struct FaultSimSnapshot {
-  std::vector<Logic> good_values;
-  std::vector<Logic> prev_values;  // pre-latch values of the last frame
-  std::vector<std::vector<std::pair<std::uint32_t, Logic>>> diffs;
-  std::vector<FaultStatus> status;
-  std::vector<std::int64_t> detected_by;
-  bool started = false;
-};
-
-class FaultSimBackend {
- public:
-  virtual ~FaultSimBackend() = default;
-
-  /// Registry name of this engine ("event", "levelized", ...).
-  virtual const char* backend_name() const = 0;
-  /// Faulty machines packed per word group (64 event / 256 levelized).
-  virtual unsigned lane_width() const = 0;
-
-  virtual const Circuit& circuit() const = 0;
-  virtual const FaultList& faults() const = 0;
-
-  /// Forget all committed state: good machine all-X, every faulty machine
-  /// equal to the good machine.  Does not reset the fault list.
-  virtual void reset() = 0;
-
-  // ---- committed simulation ----------------------------------------------
-
-  /// Simulate one vector, update good and faulty state, and drop faults it
-  /// detects (marked detected-by `test_index` in the fault list).
-  virtual FaultSimStats apply_vector(const TestVector& v,
-                                     std::int64_t test_index) = 0;
-
-  /// Apply a whole sequence (indices test_index, test_index+1, ...).
-  virtual FaultSimStats apply_sequence(const TestSequence& seq,
-                                       std::int64_t test_index) = 0;
-
-  /// Checkpoint resume: forget all committed state AND fault bookkeeping,
-  /// then re-commit `tests` from index 0, deterministically rebuilding the
-  /// good/faulty machine state and each fault's detected-by record.
-  virtual FaultSimStats replay_committed(const TestSequence& tests) = 0;
-
-  // ---- fault-status export/import (run-control checkpointing) -------------
-
-  /// Snapshot the shared fault list's detection state.
-  virtual void export_fault_status(
-      std::vector<FaultStatus>& status,
-      std::vector<std::int64_t>& detected_by) const = 0;
-
-  /// Restore detection state exported earlier.  Only bookkeeping moves; the
-  /// simulator's machine state is untouched (pair with replay_committed()).
-  virtual void import_fault_status(
-      const std::vector<FaultStatus>& status,
-      const std::vector<std::int64_t>& detected_by) = 0;
-
-  // ---- candidate evaluation (no state mutation) ---------------------------
-
-  /// Fitness-evaluate a candidate vector against the committed state.
-  /// `fault_subset`: indices into the fault list to simulate (the paper's
-  /// fault sampling); empty means every undetected fault.
-  virtual FaultSimStats evaluate_vector(
-      const TestVector& v, std::span<const std::uint32_t> fault_subset = {}) = 0;
-
-  /// Fitness-evaluate a candidate sequence (faulty state evolves in scratch
-  /// storage across the frames; committed state is untouched).
-  virtual FaultSimStats evaluate_sequence(
-      const TestSequence& seq,
-      std::span<const std::uint32_t> fault_subset = {}) = 0;
-
-  /// Fault-free-machine-only evaluation (GATEST phase 1 needs just the
-  /// flip-flop initialization observables; no fault simulation is run).
-  virtual FaultSimStats evaluate_vector_good_only(const TestVector& v) = 0;
-
-  // ---- state access & checkpointing (paper §IV) ---------------------------
-
-  /// Committed good-machine flip-flop state.
-  virtual std::vector<Logic> good_ff_state() const = 0;
-
-  /// Number of committed-good-machine flip-flops with binary values.
-  virtual unsigned good_ffs_set() const = 0;
-
-  virtual FaultSimSnapshot snapshot() const = 0;
-  virtual void restore(const FaultSimSnapshot& s) = 0;
-
-  /// Lifetime workload counters (not part of snapshot()/restore(): they
-  /// describe work performed, not machine state).
-  virtual const FsimCounters& counters() const = 0;
-  virtual void reset_counters() = 0;
-
-  // ---- packed-lane compaction (hot-path acceleration) ---------------------
-
-  /// Enable activity-ordered fault grouping (observation-order only; every
-  /// observable is bit-identical with compaction on or off, ctest-enforced).
-  virtual void set_lane_compaction(
-      bool enabled, LaneCompactionPolicy policy = LaneCompactionPolicy{}) = 0;
-  virtual bool lane_compaction_enabled() const = 0;
-
-  // ---- committed-state epoch (memoization support) ------------------------
-
-  /// Monotonic counter bumped whenever the committed machine state or the
-  /// fault list's detection bookkeeping changes (apply_*, reset, restore,
-  /// replay_committed, import_fault_status).  Candidate evaluation never
-  /// bumps it, so a fitness value computed against epoch E is valid for as
-  /// long as state_epoch() == E — the FitnessEvaluator cache keys on this.
-  virtual std::uint64_t state_epoch() const = 0;
-};
-
-// ---- backend registry --------------------------------------------------------
-
-/// Names of every registered engine, in presentation order ("event" first).
-const std::vector<std::string>& fault_sim_backend_names();
-
-/// True if `name` is a registered engine (make_fault_sim_backend will accept).
-bool fault_sim_backend_known(const std::string& name);
-
-/// Construct a backend by registry name.  Throws std::invalid_argument for
-/// unknown names (CLI and serve validate first and map this to their usage /
-/// bad-field errors).  The circuit and fault list must outlive the backend.
-std::unique_ptr<FaultSimBackend> make_fault_sim_backend(const std::string& name,
-                                                        const Circuit& c,
-                                                        FaultList& faults);
+/// Construct the simulator for `name`: "event" or "" (the default).  Throws
+/// std::invalid_argument for any other name.  The circuit and fault list
+/// must outlive the simulator.
+inline std::unique_ptr<SequentialFaultSimulator> make_fault_sim_backend(
+    const std::string& name, const Circuit& c, FaultList& faults) {
+  if (name != "event" && !name.empty())
+    throw std::invalid_argument("unknown fault-sim backend: " + name);
+  return std::make_unique<SequentialFaultSimulator>(c, faults);
+}
 
 }  // namespace gatest

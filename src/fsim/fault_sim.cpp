@@ -8,45 +8,6 @@
 namespace gatest {
 
 namespace {
-/// Evaluate one gate in scalar three-valued logic.
-Logic eval_scalar_gate(const Circuit& c, GateId id,
-                       const std::vector<Logic>& val) {
-  const Gate& g = c.gate(id);
-  auto in = [&](std::size_t i) { return val[g.fanins[i]]; };
-  switch (g.type) {
-    case GateType::Const0: return Logic::Zero;
-    case GateType::Const1: return Logic::One;
-    case GateType::Buf:
-    case GateType::Dff:    return in(0);
-    case GateType::Not:    return logic_not(in(0));
-    case GateType::And:
-    case GateType::Nand: {
-      Logic acc = in(0);
-      for (std::size_t i = 1; i < g.fanins.size(); ++i)
-        acc = logic_and(acc, in(i));
-      return g.type == GateType::Nand ? logic_not(acc) : acc;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      Logic acc = in(0);
-      for (std::size_t i = 1; i < g.fanins.size(); ++i)
-        acc = logic_or(acc, in(i));
-      return g.type == GateType::Nor ? logic_not(acc) : acc;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      Logic acc = in(0);
-      for (std::size_t i = 1; i < g.fanins.size(); ++i)
-        acc = logic_xor(acc, in(i));
-      return g.type == GateType::Xnor ? logic_not(acc) : acc;
-    }
-    case GateType::Input: return val[id];
-  }
-  return Logic::X;
-}
-}  // namespace
-
-namespace {
 /// Constant nets hold their value from the start: settle loops skip
 /// combinational sources, so an all-X reset would otherwise leave CONST0 /
 /// CONST1 nodes at X forever and every reader would see spurious weak
@@ -89,15 +50,6 @@ SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
   scratch_diffs_.resize(faults.size());
   scratch_dirty_.assign(faults.size(), 0);
   eval_detected_.assign(faults.size(), 0);
-  activity_score_.assign(faults.size(), 0);
-}
-
-void SequentialFaultSimulator::set_lane_compaction(bool enabled,
-                                                   LaneCompactionPolicy policy) {
-  compaction_enabled_ = enabled;
-  compaction_policy_ = policy;
-  compact_order_valid_ = false;
-  if (!enabled) std::fill(activity_score_.begin(), activity_score_.end(), 0u);
 }
 
 void SequentialFaultSimulator::reset() {
@@ -108,9 +60,6 @@ void SequentialFaultSimulator::reset() {
   for (auto& d : diffs_) d.clear();
   started_ = false;
   ++state_epoch_;
-  compact_order_valid_ = false;
-  std::fill(activity_score_.begin(), activity_score_.end(), 0u);
-  commits_since_compaction_ = 0;
 }
 
 std::vector<Logic> SequentialFaultSimulator::good_ff_state() const {
@@ -127,36 +76,27 @@ unsigned SequentialFaultSimulator::good_ffs_set() const {
   return n;
 }
 
-SequentialFaultSimulator::Snapshot SequentialFaultSimulator::snapshot() const {
-  Snapshot s;
+FaultSimSnapshot SequentialFaultSimulator::snapshot() const {
+  FaultSimSnapshot s;
   s.good_values = good_val_;
   s.prev_values = prev_val_;
   s.diffs = diffs_;
-  s.status.reserve(faults_->size());
-  s.detected_by.reserve(faults_->size());
-  for (std::size_t i = 0; i < faults_->size(); ++i) {
-    s.status.push_back(faults_->status(i));
-    s.detected_by.push_back(faults_->detected_by(i));
-  }
+  faults_->export_status(s.status, s.detected_by);
   s.started = started_;
   return s;
 }
 
-void SequentialFaultSimulator::restore(const Snapshot& s) {
+void SequentialFaultSimulator::restore(const FaultSimSnapshot& s) {
   if (s.good_values.size() != good_val_.size() ||
-      s.status.size() != faults_->size())
+      s.status.size() != faults_->size() ||
+      s.detected_by.size() != faults_->size())
     throw std::runtime_error("restore: snapshot shape mismatch");
   good_val_ = s.good_values;
   prev_val_ = s.prev_values;
   diffs_ = s.diffs;
-  for (std::size_t i = 0; i < faults_->size(); ++i) {
-    faults_->set_status(i, s.status[i]);
-    if (s.status[i] == FaultStatus::Detected)
-      faults_->mark_detected(i, s.detected_by[i]);
-  }
+  faults_->import_status(s.status, s.detected_by);
   started_ = s.started;
   ++state_epoch_;
-  compact_order_valid_ = false;
 }
 
 const std::vector<SequentialFaultSimulator::FfDiff>&
@@ -183,75 +123,6 @@ void SequentialFaultSimulator::begin_eval() {
   scratch_dirty_list_.clear();
   for (std::uint32_t fi : eval_detected_list_) eval_detected_[fi] = 0;
   eval_detected_list_.clear();
-}
-
-std::vector<std::uint32_t> SequentialFaultSimulator::default_active_set()
-    const {
-  if (!compaction_enabled_ || !compact_order_valid_)
-    return faults_->undetected_indices();
-  // Replay the compacted order, dropping faults detected since the rebuild.
-  // Same *set* as undetected_indices(), packed-lane-friendly *order*.
-  std::vector<std::uint32_t> out;
-  out.reserve(compact_order_.size());
-  for (std::uint32_t fi : compact_order_)
-    if (faults_->status(fi) == FaultStatus::Undetected) out.push_back(fi);
-  return out;
-}
-
-void SequentialFaultSimulator::note_commit_for_compaction(
-    const std::vector<std::uint32_t>& active) {
-  if (!compaction_enabled_) return;
-  // Activity = committed frames in which the fault's machine held a live
-  // state divergence; such faults are the ones a near-future vector can
-  // convert into detections, so they belong in the same leading words.
-  for (std::uint32_t fi : active)
-    if (!diffs_[fi].empty()) ++activity_score_[fi];
-  ++commits_since_compaction_;
-  if (!compact_order_valid_) {
-    rebuild_compact_order();
-    return;
-  }
-  if (commits_since_compaction_ < compaction_policy_.min_commits) return;
-  const std::uint64_t groups = counters_.fault_groups - window_groups_;
-  const std::uint64_t lanes = counters_.fault_group_lanes - window_lanes_;
-  const double occupancy =
-      groups == 0 ? 1.0
-                  : static_cast<double>(lanes) /
-                        (static_cast<double>(lane_width()) *
-                         static_cast<double>(groups));
-  if (occupancy < compaction_policy_.occupancy_threshold)
-    rebuild_compact_order();
-}
-
-void SequentialFaultSimulator::rebuild_compact_order() {
-  compact_order_ = faults_->undetected_indices();
-  // Highest recent activity first; ties grouped by injection-site level so
-  // one 64-lane word's event region spans neighbouring logic, then by index
-  // for determinism.  std::sort is safe: the key is a strict weak order and
-  // distinct indices never compare equal.
-  const Circuit& c = *circuit_;
-  auto site_level = [&](std::uint32_t fi) {
-    const Fault& f = faults_->fault(fi);
-    const GateId site = f.pin == Fault::kOutputPin
-                            ? f.gate
-                            : c.gate(f.gate).fanins[f.pin];
-    return c.gate(site).level;
-  };
-  std::sort(compact_order_.begin(), compact_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (activity_score_[a] != activity_score_[b])
-                return activity_score_[a] > activity_score_[b];
-              const std::uint32_t la = site_level(a), lb = site_level(b);
-              if (la != lb) return la < lb;
-              return a < b;
-            });
-  // Halve scores so the ordering tracks *recent* activity, not lifetime.
-  for (auto& s : activity_score_) s >>= 1;
-  compact_order_valid_ = true;
-  commits_since_compaction_ = 0;
-  window_groups_ = counters_.fault_groups;
-  window_lanes_ = counters_.fault_group_lanes;
-  ++counters_.lane_compactions;
 }
 
 /// Value the faulty machine sees on the faulted line this frame, given the
@@ -292,11 +163,8 @@ FaultSimStats SequentialFaultSimulator::apply_vector(const TestVector& v,
   ctx.test_index = test_index;
   ++counters_.vectors_committed;
   ++state_epoch_;
-  std::vector<std::uint32_t> active = default_active_set();
-  const FaultSimStats stats = simulate_frame(v, active, ctx);
-  // `active` now holds the still-undetected survivors of this frame.
-  note_commit_for_compaction(active);
-  return stats;
+  std::vector<std::uint32_t> active = faults_->undetected_indices();
+  return simulate_frame(v, active, ctx);
 }
 
 FaultSimStats SequentialFaultSimulator::apply_sequence(
@@ -326,7 +194,6 @@ void SequentialFaultSimulator::import_fault_status(
     const std::vector<std::int64_t>& detected_by) {
   faults_->import_status(status, detected_by);
   ++state_epoch_;
-  compact_order_valid_ = false;
 }
 
 FaultSimStats SequentialFaultSimulator::evaluate_vector(
@@ -348,7 +215,7 @@ FaultSimStats SequentialFaultSimulator::evaluate_sequence(
 
   std::vector<std::uint32_t> active;
   if (fault_subset.empty()) {
-    active = default_active_set();
+    active = faults_->undetected_indices();
   } else {
     ctx.full_universe = false;
     active.reserve(fault_subset.size());
@@ -415,8 +282,11 @@ void SequentialFaultSimulator::settle_good(const TestVector& v,
     val[inputs[i]] = v[i];
   }
   for (GateId id : c.topo_order()) {
-    if (is_combinational_source(c.gate(id).type)) continue;
-    const Logic nv = eval_scalar_gate(c, id, val);
+    const Gate& g = c.gate(id);
+    if (is_combinational_source(g.type)) continue;
+    const Logic nv = eval_logic_gate(
+        g.type, g.fanins.size(),
+        [&](std::size_t i) { return val[g.fanins[i]]; });
     if (val[id] != nv) {
       ++stats.good_events;
       val[id] = nv;
@@ -448,10 +318,10 @@ void SequentialFaultSimulator::simulate_fault_groups(
   const Circuit& c = *circuit_;
   const std::vector<Logic>& val = *ctx.val;  // settled good frame, pre-latch
 
-  // Partition active faults into lanes of 64, skipping faults that cannot
-  // deviate this frame (PROOFS' activity check).
+  // Partition active faults into groups of kFaultSimLanes, skipping faults
+  // that cannot deviate this frame (PROOFS' activity check).
   std::vector<std::uint32_t> group;
-  group.reserve(64);
+  group.reserve(kFaultSimLanes);
   std::vector<std::uint32_t> detected_now;
 
   // Injections for the current group.  Transition faults may force X (an
@@ -642,7 +512,7 @@ void SequentialFaultSimulator::simulate_fault_groups(
     if (!ctx.commit && eval_detected_[fi]) continue;
     if (!fault_is_active(fi, ctx)) continue;
     group.push_back(fi);
-    if (group.size() == 64) {
+    if (group.size() == kFaultSimLanes) {
       run_group();
       group.clear();
     }

@@ -18,70 +18,143 @@
 // faulty line holds its previous fault-free value through a missed edge;
 // see FaultModel).  The GA test generator runs on either universe.
 //
-// This class is the registered "event" engine of the FaultSimBackend family
-// (see backend.h) and the substrate other engines derive from: the good-
-// machine settle/latch, diff-list bookkeeping, snapshot/restore, epoch, and
-// compaction plumbing are shared, and a derived engine swaps only the packed
-// faulty-machine kernel by overriding simulate_fault_groups() (see
-// levelized_sim.h for the 256-lane levelized kernel).
+// This is the repo's one fault-simulation engine.  The GA test generator,
+// the fitness evaluator, checkpoint/resume, the serve daemon and the bench
+// harnesses all drive it directly; fsim/backend.h only keeps construction
+// by engine name for callers that still select it through
+// TestGenConfig::fsim_backend.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
-#include "fsim/backend.h"
 #include "netlist/circuit.h"
 #include "sim/logic.h"
 #include "sim/packed.h"
 
 namespace gatest {
 
-class SequentialFaultSimulator : public FaultSimBackend {
+/// Faulty machines packed per fault group: one per bit of a PackedVal word.
+inline constexpr unsigned kFaultSimLanes = 64;
+
+/// Observables from simulating one vector (or accumulated over a sequence).
+/// These are exactly the quantities GATEST's four fitness phases consume.
+struct FaultSimStats {
+  /// Faults newly detected at a primary output (definite binary difference).
+  unsigned detected = 0;
+  /// (fault, flip-flop) pairs where a definite fault effect (good and faulty
+  /// next-state both binary and different) reached a flip-flop.
+  unsigned fault_effects_at_ffs = 0;
+  /// Fault-free machine events: gates whose value changed this frame.
+  std::uint64_t good_events = 0;
+  /// Faulty machine events: per-lane value deviations created while settling
+  /// the fault groups (proxy for faulty-circuit activity, cf. paper §III-B).
+  std::uint64_t faulty_events = 0;
+  /// Fault-free flip-flops holding a binary value after the frame.
+  unsigned ffs_set = 0;
+  /// Fault-free flip-flops whose value changed to a (different) binary value.
+  unsigned ffs_changed = 0;
+  /// Number of faults actually simulated (sample size in sampling mode).
+  unsigned faults_simulated = 0;
+
+  void accumulate(const FaultSimStats& s) {
+    detected += s.detected;
+    fault_effects_at_ffs += s.fault_effects_at_ffs;
+    good_events += s.good_events;
+    faulty_events += s.faulty_events;
+    ffs_set = s.ffs_set;          // state-like: keep last frame's
+    ffs_changed += s.ffs_changed;
+    faults_simulated = std::max(faults_simulated, s.faults_simulated);
+  }
+};
+
+/// Lifetime workload counters, accumulated across every call (telemetry).
+/// Plain non-atomic fields: a simulator instance is confined to one thread;
+/// parallel runs use one simulator per worker and merge with accumulate().
+/// Observation-only — nothing in the simulator reads them back.
+struct FsimCounters {
+  std::uint64_t vectors_committed = 0;    ///< committed frames (apply_*)
+  std::uint64_t candidate_evaluations = 0;///< evaluate_* calls
+  std::uint64_t frames_simulated = 0;     ///< frames incl. candidate frames
+  std::uint64_t good_events = 0;          ///< fault-free machine events
+  std::uint64_t faulty_events = 0;        ///< packed faulty-machine events
+  std::uint64_t faults_dropped = 0;       ///< faults detected & dropped (commit)
+  std::uint64_t fault_groups = 0;         ///< packed groups settled
+  std::uint64_t fault_group_lanes = 0;    ///< faults across those groups
+
+  /// Mean occupancy of the packed bit lanes, in [0, 1].  Low values mean
+  /// the undetected-fault tail no longer fills packed words.
+  double packed_utilization() const {
+    return fault_groups == 0
+               ? 0.0
+               : static_cast<double>(fault_group_lanes) /
+                     (kFaultSimLanes * static_cast<double>(fault_groups));
+  }
+
+  void accumulate(const FsimCounters& o) {
+    vectors_committed += o.vectors_committed;
+    candidate_evaluations += o.candidate_evaluations;
+    frames_simulated += o.frames_simulated;
+    good_events += o.good_events;
+    faulty_events += o.faulty_events;
+    faults_dropped += o.faults_dropped;
+    fault_groups += o.fault_groups;
+    fault_group_lanes += o.fault_group_lanes;
+  }
+};
+
+/// Everything needed to roll a simulator back: good values, per-fault state
+/// diffs, and fault detection status.
+struct FaultSimSnapshot {
+  std::vector<Logic> good_values;
+  std::vector<Logic> prev_values;  // pre-latch values of the last frame
+  std::vector<std::vector<std::pair<std::uint32_t, Logic>>> diffs;
+  std::vector<FaultStatus> status;
+  std::vector<std::int64_t> detected_by;
+  bool started = false;
+};
+
+class SequentialFaultSimulator {
  public:
   /// The fault list is shared, mutable bookkeeping: committed vectors mark
   /// faults detected there.  Both objects must outlive the simulator.
   SequentialFaultSimulator(const Circuit& c, FaultList& faults);
 
-  const char* backend_name() const override { return "event"; }
-  unsigned lane_width() const override { return 64; }
-
-  const Circuit& circuit() const override { return *circuit_; }
-  const FaultList& faults() const override { return *faults_; }
+  const Circuit& circuit() const { return *circuit_; }
 
   /// Forget all committed state: good machine all-X, every faulty machine
   /// equal to the good machine.  Does not reset the fault list.
-  void reset() override;
+  void reset();
 
   // ---- committed simulation ----------------------------------------------
 
   /// Simulate one vector, update good and faulty state, and drop faults it
   /// detects (marked detected-by `test_index` in the fault list).
-  FaultSimStats apply_vector(const TestVector& v,
-                             std::int64_t test_index) override;
+  FaultSimStats apply_vector(const TestVector& v, std::int64_t test_index);
 
   /// Apply a whole sequence (indices test_index, test_index+1, ...).
   FaultSimStats apply_sequence(const TestSequence& seq,
-                               std::int64_t test_index) override;
+                               std::int64_t test_index);
 
   /// Checkpoint resume: forget all committed state AND fault bookkeeping,
   /// then re-commit `tests` from index 0, deterministically rebuilding the
   /// good/faulty machine state and each fault's detected-by record.
-  FaultSimStats replay_committed(const TestSequence& tests) override;
+  FaultSimStats replay_committed(const TestSequence& tests);
 
   // ---- fault-status export/import (run-control checkpointing) -------------
 
   /// Snapshot the shared fault list's detection state.
   void export_fault_status(std::vector<FaultStatus>& status,
-                           std::vector<std::int64_t>& detected_by)
-      const override;
+                           std::vector<std::int64_t>& detected_by) const;
 
   /// Restore detection state exported earlier.  Only bookkeeping moves; the
   /// simulator's machine state is untouched (pair with replay_committed()).
   void import_fault_status(const std::vector<FaultStatus>& status,
-                           const std::vector<std::int64_t>& detected_by)
-      override;
+                           const std::vector<std::int64_t>& detected_by);
 
   // ---- candidate evaluation (no state mutation) ---------------------------
 
@@ -89,56 +162,35 @@ class SequentialFaultSimulator : public FaultSimBackend {
   /// `fault_subset`: indices into the fault list to simulate (the paper's
   /// fault sampling); empty means every undetected fault.
   FaultSimStats evaluate_vector(
-      const TestVector& v,
-      std::span<const std::uint32_t> fault_subset = {}) override;
+      const TestVector& v, std::span<const std::uint32_t> fault_subset = {});
 
   /// Fitness-evaluate a candidate sequence (faulty state evolves in scratch
   /// storage across the frames; committed state is untouched).
   FaultSimStats evaluate_sequence(
       const TestSequence& seq,
-      std::span<const std::uint32_t> fault_subset = {}) override;
+      std::span<const std::uint32_t> fault_subset = {});
 
   /// Fault-free-machine-only evaluation (GATEST phase 1 needs just the
   /// flip-flop initialization observables; no fault simulation is run).
-  FaultSimStats evaluate_vector_good_only(const TestVector& v) override;
+  FaultSimStats evaluate_vector_good_only(const TestVector& v);
 
   // ---- state access & checkpointing (paper §IV) ---------------------------
 
   /// Committed good-machine flip-flop state.
-  std::vector<Logic> good_ff_state() const override;
+  std::vector<Logic> good_ff_state() const;
 
   /// Number of committed-good-machine flip-flops with binary values.
-  unsigned good_ffs_set() const override;
+  unsigned good_ffs_set() const;
 
-  /// Backward-compatible alias: the snapshot type predates the backend
-  /// interface and was hoisted to backend.h unchanged.
-  using Snapshot = FaultSimSnapshot;
-  FaultSimSnapshot snapshot() const override;
-  void restore(const FaultSimSnapshot& s) override;
+  FaultSimSnapshot snapshot() const;
+  /// Roll machine state and every fault's status and detected-by record
+  /// back to `s`.
+  void restore(const FaultSimSnapshot& s);
 
   /// Lifetime workload counters (not part of snapshot()/restore(): they
   /// describe work performed, not machine state).
-  const FsimCounters& counters() const override { return counters_; }
-  void reset_counters() override {
-    counters_ = FsimCounters{};
-    counters_.lane_width = lane_width();
-  }
-
-  // ---- packed-lane compaction (hot-path acceleration) ---------------------
-
-  /// Enable activity-ordered fault grouping: the default active set is kept
-  /// in an order that packs faults closest to detection (nonempty state
-  /// diffs over recent committed frames) into the same leading packed
-  /// words, tie-broken by injection-site level so one group's event region
-  /// stays small.  The order is re-derived at commit boundaries when the
-  /// measured lane occupancy drops below the policy threshold.  Grouping is
-  /// observation-order only — every lane evolves independently — so
-  /// detection sets, fault effects at flip-flops, and event counts are
-  /// bit-identical with compaction on or off (ctest-enforced).
-  void set_lane_compaction(
-      bool enabled,
-      LaneCompactionPolicy policy = LaneCompactionPolicy{}) override;
-  bool lane_compaction_enabled() const override { return compaction_enabled_; }
+  const FsimCounters& counters() const { return counters_; }
+  void reset_counters() { counters_ = FsimCounters{}; }
 
   // ---- committed-state epoch (memoization support) ------------------------
 
@@ -147,9 +199,9 @@ class SequentialFaultSimulator : public FaultSimBackend {
   /// replay_committed, import_fault_status).  Candidate evaluation never
   /// bumps it, so a fitness value computed against epoch E is valid for as
   /// long as state_epoch() == E — the FitnessEvaluator cache keys on this.
-  std::uint64_t state_epoch() const override { return state_epoch_; }
+  std::uint64_t state_epoch() const { return state_epoch_; }
 
- protected:
+ private:
   using FfDiff = std::pair<std::uint32_t, Logic>;  // (ff ordinal, faulty val)
 
   struct EvalContext {
@@ -180,13 +232,9 @@ class SequentialFaultSimulator : public FaultSimBackend {
   /// The faulty-machine kernel: settle every fault in `active` against the
   /// good frame in *ctx.val, record detections/fault-effects/faulty-events
   /// into `stats`, update the per-fault diff lists, and erase newly detected
-  /// faults from `active`.  This is the single seam a derived engine
-  /// overrides — everything the kernel touches (diff_of/write_diff, the
-  /// eval-mode detection flags, counters_) lives in this protected section,
-  /// and every observable must be bit-identical to this event-driven
-  /// reference (conformance-suite + differential-fuzz enforced).
-  virtual void simulate_fault_groups(std::vector<std::uint32_t>& active,
-                                     EvalContext& ctx, FaultSimStats& stats);
+  /// faults from `active`.
+  void simulate_fault_groups(std::vector<std::uint32_t>& active,
+                             EvalContext& ctx, FaultSimStats& stats);
 
   const std::vector<FfDiff>& diff_of(std::uint32_t fi, bool commit) const;
   void write_diff(std::uint32_t fi, std::vector<FfDiff> d, bool commit);
@@ -199,13 +247,6 @@ class SequentialFaultSimulator : public FaultSimBackend {
   /// True if the fault can deviate this frame: nonempty state diff or an
   /// injection whose forced value may differ from the good value.
   bool fault_is_active(std::uint32_t fi, const EvalContext& ctx) const;
-
-  std::vector<std::uint32_t> default_active_set() const;
-
-  /// Commit-boundary compaction bookkeeping: bump activity scores for the
-  /// surviving active faults, and rebuild the packed order when due.
-  void note_commit_for_compaction(const std::vector<std::uint32_t>& active);
-  void rebuild_compact_order();
 
   const Circuit* circuit_;
   FaultList* faults_;
@@ -237,17 +278,6 @@ class SequentialFaultSimulator : public FaultSimBackend {
   std::vector<Logic> eval_val_;
   std::vector<Logic> eval_prev_val_;
   std::vector<Logic> latch_scratch_;
-
-  // Packed-lane compaction state (derived, never checkpointed: it only
-  // changes which lanes share a word, never any lane's result).
-  bool compaction_enabled_ = false;
-  LaneCompactionPolicy compaction_policy_;
-  bool compact_order_valid_ = false;
-  std::vector<std::uint32_t> compact_order_;    // undetected-at-rebuild order
-  std::vector<std::uint32_t> activity_score_;   // per fault, decayed on rebuild
-  unsigned commits_since_compaction_ = 0;
-  std::uint64_t window_groups_ = 0;             // since last rebuild
-  std::uint64_t window_lanes_ = 0;
 
   std::uint64_t state_epoch_ = 0;
 

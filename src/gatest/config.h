@@ -104,12 +104,11 @@ struct TestGenConfig {
   /// the golden s298/s344 runs at 1 and 4 threads).
   bool prune_proven = false;
 
-  // ---- fault-simulation backend (fsim/backend.h registry) ------------------
-  /// Engine settling the faulty machines: "event" (PROOFS-style event-driven,
-  /// 64-lane words) or "levelized" (table-driven full sweep, 256-lane words,
-  /// AVX2 when available).  Every backend produces bit-identical test sets,
-  /// coverage, and fitness observables (conformance-suite and ctest
-  /// enforced); the choice only moves wall-clock time.
+  // ---- fault-simulation engine (fsim/backend.h) ----------------------------
+  /// Engine name passed to make_fault_sim_backend.  "event" is the only
+  /// engine; any other name makes GaTestGenerator's constructor throw.  The
+  /// field stays because the end-to-end benchmark harness builds its replay
+  /// simulators from it (bench/e2e/atpg.cpp:292, bench/e2e/serve.cpp:420).
   std::string fsim_backend = "event";
 
   // ---- fitness hot-path acceleration (DESIGN.md) ---------------------------
@@ -120,10 +119,6 @@ struct TestGenConfig {
   bool fitness_cache = false;
   /// Max cached entries per evaluator before a whole-map eviction.
   std::size_t fitness_cache_capacity = 1u << 14;
-  /// Periodically re-pack the undetected-fault tail into dense 64-lane
-  /// words, activity-ordered so likely-detected faults share words and drop
-  /// early.  Observable results are unchanged; only packing density moves.
-  bool lane_compaction = false;
 
   // ---- robustness guards (not in the paper; needed for circuits with
   // uninitializable flip-flops, which a simulation-based generator cannot

@@ -36,7 +36,7 @@ TestSequence decode_sequence(const std::vector<std::uint8_t>& genes,
   return seq;
 }
 
-FitnessEvaluator::FitnessEvaluator(FaultSimBackend& sim,
+FitnessEvaluator::FitnessEvaluator(SequentialFaultSimulator& sim,
                                    const TestGenConfig& config)
     : sim_(&sim), config_(&config) {}
 

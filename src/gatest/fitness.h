@@ -24,7 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fsim/backend.h"
+#include "fsim/fault_sim.h"
 #include "gatest/config.h"
 #include "sim/logic.h"
 
@@ -66,9 +66,9 @@ struct FitnessCacheStats {
 /// Computes candidate fitness against the simulator's committed state.
 class FitnessEvaluator {
  public:
-  /// Works against any registered fault-sim backend; the evaluator only uses
-  /// the FaultSimBackend contract (evaluate_*, circuit(), state_epoch()).
-  FitnessEvaluator(FaultSimBackend& sim, const TestGenConfig& config);
+  /// Scores candidates through `sim`'s evaluate_* calls; its circuit() and
+  /// state_epoch() size the fitness terms and key the cache.
+  FitnessEvaluator(SequentialFaultSimulator& sim, const TestGenConfig& config);
 
   /// Set the fault sample used for subsequent evaluations (empty = full
   /// remaining fault list).  Invalidates the cache only when the sample
@@ -122,7 +122,7 @@ class FitnessEvaluator {
   template <typename Compute>
   double cached(Compute&& compute);
 
-  FaultSimBackend* sim_;
+  SequentialFaultSimulator* sim_;
   const TestGenConfig* config_;
   std::vector<std::uint32_t> sample_;
   std::size_t evaluations_ = 0;

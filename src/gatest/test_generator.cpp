@@ -6,6 +6,7 @@
 
 #include "analysis/prune.h"
 #include "analysis/untestable.h"
+#include "fsim/backend.h"
 #include "util/timer.h"
 
 namespace gatest {
@@ -19,7 +20,6 @@ GaTestGenerator::GaTestGenerator(const Circuit& c, FaultList& faults,
       fitness_(*sim_, config_),
       rng_(config.seed) {
   depth_ = std::max(1u, c.sequential_depth());
-  sim_->set_lane_compaction(config_.lane_compaction);
   fitness_.set_cache(config_.fitness_cache, config_.fitness_cache_capacity);
   std::vector<UntestableTag> heuristic_tags;
   if (config_.prune_untestable)
@@ -56,7 +56,6 @@ GaTestGenerator::GaTestGenerator(const Circuit& c, FaultList& faults,
         worker_faults_.back()->set_status(i, faults.status(i));
       worker_sims_.push_back(make_fault_sim_backend(
           config_.fsim_backend, c, *worker_faults_.back()));
-      worker_sims_.back()->set_lane_compaction(config_.lane_compaction);
       worker_fitness_.push_back(
           std::make_unique<FitnessEvaluator>(*worker_sims_.back(), config_));
       worker_fitness_.back()->set_cache(config_.fitness_cache,
@@ -652,7 +651,6 @@ TestGenResult GaTestGenerator::run() {
          {"faults", static_cast<std::uint64_t>(faults_->size())},
          {"seed", static_cast<std::uint64_t>(config_.seed)},
          {"threads", config_.num_threads},
-         {"fsim_backend", std::string(sim_->backend_name())},
          {"resumed", resumed_}});
   if (!resumed_) {
     result_ = TestGenResult{};
@@ -773,12 +771,8 @@ void GaTestGenerator::telemetry_finalize_metrics() {
   set_total("fsim.faults_dropped", fc.faults_dropped);
   set_total("fsim.fault_groups", fc.fault_groups);
   set_total("fsim.fault_group_lanes", fc.fault_group_lanes);
-  set_total("fsim.lane_compactions", fc.lane_compactions);
   m.gauge("fsim.packed_utilization").set(fc.packed_utilization());
-  m.gauge("fsim.lane_width").set(static_cast<double>(fc.lane_width));
-  // Info-style backend label: `fsim.backend.<name>` = 1 for the engine this
-  // run used (metrics have no label dimension; scrapers match on the name).
-  m.gauge(std::string("fsim.backend.") + sim_->backend_name()).set(1.0);
+  m.gauge("fsim.lane_width").set(kFaultSimLanes);
 
   const FitnessCacheStats cs = cache_stats();
   set_total("fitness.cache.hits", cs.hits);

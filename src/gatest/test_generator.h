@@ -17,7 +17,7 @@
 #include <memory>
 
 #include "fault/fault.h"
-#include "fsim/backend.h"
+#include "fsim/fault_sim.h"
 #include "gatest/checkpoint.h"
 #include "gatest/config.h"
 #include "gatest/fitness.h"
@@ -198,9 +198,9 @@ class GaTestGenerator {
   const Circuit* circuit_;
   FaultList* faults_;
   TestGenConfig config_;
-  /// Engine chosen by TestGenConfig::fsim_backend through the backend
-  /// registry; the generator only uses the FaultSimBackend contract.
-  std::unique_ptr<FaultSimBackend> sim_;
+  /// Built by make_fault_sim_backend(config_.fsim_backend), so a stale
+  /// engine name throws at construction.
+  std::unique_ptr<SequentialFaultSimulator> sim_;
   FitnessEvaluator fitness_;
   Rng rng_;
   unsigned depth_ = 1;
@@ -230,7 +230,7 @@ class GaTestGenerator {
   // replaying every committed vector.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<FaultList>> worker_faults_;
-  std::vector<std::unique_ptr<FaultSimBackend>> worker_sims_;
+  std::vector<std::unique_ptr<SequentialFaultSimulator>> worker_sims_;
   std::vector<std::unique_ptr<FitnessEvaluator>> worker_fitness_;
 
   // Telemetry (borrowed; nullptr = disabled).  The open-phase bookkeeping

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "fsim/backend.h"
 #include "telemetry/json.h"
 #include "telemetry/trace.h"
 
@@ -117,17 +116,20 @@ bool map_config(const JsonValue& cfg, TestGenConfig& out, ProtocolError& err) {
     else return fail(err, "bad-field", "unknown coding '" + v->str + "'");
   }
   if (!get_bool(cfg, "fitness_cache", out.fitness_cache, err)) return false;
-  if (!get_bool(cfg, "lane_compaction", out.lane_compaction, err)) return false;
   if (!get_bool(cfg, "prune_untestable", out.prune_untestable, err))
     return false;
   if (!get_bool(cfg, "prune_proven", out.prune_proven, err)) return false;
+  // Retired keys, still written by older daemons into every journal record.
+  // They are validated as before and then ignored: both settings only ever
+  // chose between bit-identical runs, so dropping them changes no result.
+  bool retired = false;
+  if (!get_bool(cfg, "lane_compaction", retired, err)) return false;
   if (const JsonValue* v = cfg.find("fsim_backend")) {
     if (!v->is_string())
       return fail(err, "bad-field", "fsim_backend must be a string");
-    if (!fault_sim_backend_known(v->str))
+    if (v->str != "event" && v->str != "levelized")
       return fail(err, "bad-field",
                   "unknown fsim_backend '" + v->str + "'");
-    out.fsim_backend = v->str;
   }
   return true;
 }
@@ -278,10 +280,8 @@ std::string submit_json(const SubmitRequest& req) {
       .key("coding").value(c.sequence_coding == Coding::NonBinary ? "nonbinary"
                                                                   : "binary")
       .key("fitness_cache").value(c.fitness_cache)
-      .key("lane_compaction").value(c.lane_compaction)
       .key("prune_untestable").value(c.prune_untestable)
       .key("prune_proven").value(c.prune_proven)
-      .key("fsim_backend").value(c.fsim_backend)
   .end_object();
 
   w.key("budget").begin_object();

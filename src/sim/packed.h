@@ -1,4 +1,6 @@
-// 64-lane packed three-valued logic.
+// 64-lane packed three-valued logic, and the gate evaluators the forward
+// simulators share: eval_packed_gate over packed words and eval_logic_gate
+// over scalar values.
 //
 // Each signal carries two 64-bit words: bit i of `zero` means lane i is 0,
 // bit i of `one` means lane i is 1, neither bit means X.  Both bits set is
@@ -10,6 +12,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "netlist/gate.h"
@@ -114,6 +117,44 @@ PackedVal eval_packed_gate(GateType type, std::size_t num_fanins,
       return {};
   }
   return {};
+}
+
+/// Scalar counterpart of eval_packed_gate: one gate in three-valued logic.
+/// `fanin(i)` returns the Logic value of the gate's i-th fanin (callers
+/// inject pin faults inside it).  Inputs are never evaluated and yield X.
+template <typename FaninAccessor>
+Logic eval_logic_gate(GateType type, std::size_t num_fanins,
+                      FaninAccessor&& fanin) {
+  switch (type) {
+    case GateType::Const0: return Logic::Zero;
+    case GateType::Const1: return Logic::One;
+    case GateType::Buf:
+    case GateType::Dff:    return fanin(0);
+    case GateType::Not:    return logic_not(fanin(0));
+    case GateType::And:
+    case GateType::Nand: {
+      Logic acc = fanin(0);
+      for (std::size_t i = 1; i < num_fanins; ++i)
+        acc = logic_and(acc, fanin(i));
+      return type == GateType::Nand ? logic_not(acc) : acc;
+    }
+    case GateType::Or:
+    case GateType::Nor: {
+      Logic acc = fanin(0);
+      for (std::size_t i = 1; i < num_fanins; ++i)
+        acc = logic_or(acc, fanin(i));
+      return type == GateType::Nor ? logic_not(acc) : acc;
+    }
+    case GateType::Xor:
+    case GateType::Xnor: {
+      Logic acc = fanin(0);
+      for (std::size_t i = 1; i < num_fanins; ++i)
+        acc = logic_xor(acc, fanin(i));
+      return type == GateType::Xnor ? logic_not(acc) : acc;
+    }
+    case GateType::Input: return Logic::X;
+  }
+  return Logic::X;
 }
 
 }  // namespace gatest

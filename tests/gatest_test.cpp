@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "circuitgen/circuitgen.h"
 #include "fault/fault.h"
@@ -251,7 +252,7 @@ TEST_F(FitnessCacheTest, DisabledCacheTouchesNothing) {
   EXPECT_EQ(eval_.sim_evaluations(), eval_.evaluations());
 }
 
-TEST(FitnessCache, GeneratorRunsIdenticallyWithCacheAndCompaction) {
+TEST(FitnessCache, GeneratorRunsIdenticallyWithCache) {
   // End-to-end (library-level twin of the cli_cache_identity gates): same
   // circuit and seed, accelerated vs. plain, byte-identical test sets.
   const Circuit c = benchmark_circuit("s386", 3);
@@ -263,7 +264,6 @@ TEST(FitnessCache, GeneratorRunsIdenticallyWithCacheAndCompaction) {
 
   TestGenConfig accel_cfg = plain_cfg;
   accel_cfg.fitness_cache = true;
-  accel_cfg.lane_compaction = true;
   FaultList accel_faults(c);
   GaTestGenerator accel(c, accel_faults, accel_cfg);
   const TestGenResult accel_res = accel.run();
@@ -272,6 +272,17 @@ TEST(FitnessCache, GeneratorRunsIdenticallyWithCacheAndCompaction) {
   EXPECT_EQ(plain_res.faults_detected, accel_res.faults_detected);
   EXPECT_EQ(plain_res.fitness_evaluations, accel_res.fitness_evaluations);
   EXPECT_GT(accel.cache_stats().hits, 0u);
+}
+
+TEST(GaTestGenerator, RejectsUnknownFsimBackend) {
+  // "event" is the only engine; a stale name such as the retired
+  // "levelized" must fail at construction instead of running the default.
+  const Circuit c = make_s27();
+  FaultList faults(c);
+  TestGenConfig cfg;
+  cfg.fsim_backend = "levelized";
+  EXPECT_THROW({ GaTestGenerator gen(c, faults, cfg); },
+               std::invalid_argument);
 }
 
 TEST(GaTestGenerator, FullCoverageOnS27) {

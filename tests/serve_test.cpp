@@ -19,7 +19,6 @@
 
 #include "circuitgen/circuitgen.h"
 #include "fault/fault.h"
-#include "fsim/backend.h"
 #include "gatest/test_generator.h"
 #include "serve/client.h"
 #include "serve/http.h"
@@ -481,7 +480,6 @@ TEST(Protocol, SubmitJsonRoundTripsThroughParser) {
   req.config.crossover = CrossoverScheme::Uniform;
   req.config.sequence_coding = Coding::NonBinary;
   req.config.fitness_cache = true;
-  req.config.fsim_backend = "levelized";
   req.budget.max_evaluations = 1234;
   req.budget.max_vectors = 99;
 
@@ -499,33 +497,33 @@ TEST(Protocol, SubmitJsonRoundTripsThroughParser) {
   EXPECT_EQ(parsed.submit.config.crossover, req.config.crossover);
   EXPECT_EQ(parsed.submit.config.sequence_coding, req.config.sequence_coding);
   EXPECT_EQ(parsed.submit.config.fitness_cache, req.config.fitness_cache);
-  EXPECT_EQ(parsed.submit.config.fsim_backend, req.config.fsim_backend);
   EXPECT_EQ(parsed.submit.budget.max_evaluations,
             req.budget.max_evaluations);
   EXPECT_EQ(parsed.submit.budget.max_vectors, req.budget.max_vectors);
 }
 
-TEST(Protocol, FsimBackendValidatedAgainstRegistry) {
-  // Any registered engine name is accepted...
-  for (const std::string& name : fault_sim_backend_names()) {
-    Request parsed;
-    ProtocolError err;
-    ASSERT_TRUE(parse_request("{\"cmd\":\"submit\",\"profile\":\"s27\","
-                              "\"config\":{\"fsim_backend\":\"" +
-                                  name + "\"}}",
-                              parsed, err))
-        << err.code << ": " << err.message;
-    EXPECT_EQ(parsed.submit.config.fsim_backend, name);
-  }
-  // ...an unknown name or a non-string value is a structured bad-field error.
-  ProtocolError err = parse_error(
-      "{\"cmd\":\"submit\",\"profile\":\"s27\","
-      "\"config\":{\"fsim_backend\":\"warp\"}}");
-  EXPECT_EQ(err.code, "bad-field");
-  err = parse_error(
-      "{\"cmd\":\"submit\",\"profile\":\"s27\","
-      "\"config\":{\"fsim_backend\":7}}");
-  EXPECT_EQ(err.code, "bad-field");
+TEST(Protocol, RetiredEngineKeysKeepTheirChecks) {
+  // "fsim_backend" and "lane_compaction" are no longer written, but older
+  // journal records carry them: accepted values parse (and are ignored),
+  // malformed ones are still structured bad-field errors.
+  const std::string prefix =
+      "{\"cmd\":\"submit\",\"profile\":\"s27\",\"config\":";
+  EXPECT_EQ(parse_error(prefix + "{\"fsim_backend\":\"warp\"}}").code,
+            "bad-field");
+  EXPECT_EQ(parse_error(prefix + "{\"fsim_backend\":7}}").code, "bad-field");
+  EXPECT_EQ(parse_error(prefix + "{\"lane_compaction\":\"yes\"}}").code,
+            "bad-field");
+  Request req;
+  ProtocolError err;
+  ASSERT_TRUE(parse_request(prefix + "{\"fsim_backend\":\"levelized\","
+                                     "\"lane_compaction\":true}}",
+                            req, err))
+      << err.code << ": " << err.message;
+  EXPECT_EQ(req.submit.config.fsim_backend, "event");
+  EXPECT_EQ(submit_json(SubmitRequest{}).find("fsim_backend"),
+            std::string::npos);
+  EXPECT_EQ(submit_json(SubmitRequest{}).find("lane_compaction"),
+            std::string::npos);
 }
 
 // ---- job journal ------------------------------------------------------------
@@ -812,6 +810,41 @@ TEST(Recovery, CorruptCheckpointRequeuesFromScratch) {
   const telemetry::JsonValue m = telemetry::parse_json(jm.metrics_json());
   EXPECT_EQ(m.find("counters")->number_or("serve.checkpoints_discarded", 0),
             2.0);
+  jm.shutdown();
+}
+
+TEST(Recovery, OlderRecordWithRetiredEngineKeysRecovers) {
+  // A queued record exactly as an older daemon journalled it, with the
+  // since-retired engine keys set to non-default values.  Recovery must
+  // accept it and serve the bits of an uninterrupted default-engine run.
+  const fs::path dir = test_dir("recovery_retired_keys");
+  Journal j;
+  j.open(dir.string());
+  JournalRecord rec;
+  rec.id = 1;
+  rec.submit_line =
+      "{\"cmd\":\"submit\",\"profile\":\"s27\",\"config\":{\"seed\":9,"
+      "\"sample\":0,\"threads\":1,\"gap\":1,\"selection\":\"tournament\","
+      "\"crossover\":\"uniform\",\"coding\":\"binary\","
+      "\"fitness_cache\":false,\"lane_compaction\":true,"
+      "\"prune_untestable\":false,\"prune_proven\":false,"
+      "\"fsim_backend\":\"levelized\"},\"budget\":{\"max_evals\":600}}";
+  j.write(rec);
+
+  ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.slice_seconds = 0.0;
+  cfg.state_dir = dir.string();
+  JobManager jm(cfg);
+  jm.start();
+  ASSERT_EQ(jm.snapshot_all().size(), 1u) << "recovery dropped the record";
+  wait_all_terminal(jm, 1);
+  JobSnapshot snap;
+  std::vector<std::string> vectors;
+  ProtocolError err;
+  ASSERT_TRUE(jm.result(1, snap, vectors, err)) << err.message;
+  EXPECT_EQ(snap.state, JobState::Done);
+  EXPECT_EQ(vectors, direct_run("s27", 9, 600));
   jm.shutdown();
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -114,6 +117,113 @@ TEST(PackedGateEval, NaryGates) {
   EXPECT_EQ(eval_packed_gate(GateType::Xnor, 3, at).lane(0), Logic::One);
   EXPECT_EQ(eval_packed_gate(GateType::Const1, 0, at).lane(7), Logic::One);
 }
+
+// ---- scalar gate evaluator ----------------------------------------------------
+//
+// eval_logic_gate is the scalar evaluator the fault simulator and PODEM
+// share.  Every ternary input combination of every fanin count is checked
+// against eval_packed_gate (one combination per lane) and against an
+// independent oracle: a single gate's ternary output is binary exactly when
+// every binary completion of its X inputs gives the same value.
+
+bool binary_gate_function(GateType type, const std::vector<bool>& in) {
+  bool acc = in.empty() ? false : in[0];
+  switch (type) {
+    case GateType::Const0: return false;
+    case GateType::Const1: return true;
+    case GateType::Buf:
+    case GateType::Dff:    return in[0];
+    case GateType::Not:    return !in[0];
+    case GateType::And:
+    case GateType::Nand:
+      for (std::size_t i = 1; i < in.size(); ++i) acc = acc && in[i];
+      return type == GateType::Nand ? !acc : acc;
+    case GateType::Or:
+    case GateType::Nor:
+      for (std::size_t i = 1; i < in.size(); ++i) acc = acc || in[i];
+      return type == GateType::Nor ? !acc : acc;
+    case GateType::Xor:
+    case GateType::Xnor:
+      for (std::size_t i = 1; i < in.size(); ++i) acc = acc != in[i];
+      return type == GateType::Xnor ? !acc : acc;
+    case GateType::Input: break;
+  }
+  return false;
+}
+
+Logic completion_oracle(GateType type, const std::vector<Logic>& in) {
+  std::vector<std::size_t> xs;
+  for (std::size_t i = 0; i < in.size(); ++i)
+    if (in[i] == Logic::X) xs.push_back(i);
+  std::set<bool> outs;
+  for (std::uint32_t m = 0; m < (1u << xs.size()); ++m) {
+    std::vector<bool> bin(in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) bin[i] = in[i] == Logic::One;
+    for (std::size_t j = 0; j < xs.size(); ++j) bin[xs[j]] = (m >> j) & 1u;
+    outs.insert(binary_gate_function(type, bin));
+  }
+  if (outs.size() != 1) return Logic::X;
+  return *outs.begin() ? Logic::One : Logic::Zero;
+}
+
+class LogicGateEvalTest : public ::testing::TestWithParam<GateType> {};
+
+TEST_P(LogicGateEvalTest, MatchesPackedEvaluatorAndBinaryCompletions) {
+  const GateType type = GetParam();
+  const Logic kValues[] = {Logic::Zero, Logic::One, Logic::X};
+  std::vector<std::size_t> arities;
+  switch (type) {
+    case GateType::Input:
+    case GateType::Const0:
+    case GateType::Const1: arities = {0}; break;
+    case GateType::Dff:
+    case GateType::Buf:
+    case GateType::Not:    arities = {1}; break;
+    default:               arities = {2, 3, 4}; break;
+  }
+  for (const std::size_t k : arities) {
+    std::size_t combos = 1;
+    for (std::size_t i = 0; i < k; ++i) combos *= 3;
+    // Pack combinations into 64-lane words, one combination per lane.
+    for (std::size_t base = 0; base < combos; base += 64) {
+      const std::size_t lanes = std::min<std::size_t>(64, combos - base);
+      std::vector<PackedVal> packed(k);
+      std::vector<std::vector<Logic>> scalar(lanes, std::vector<Logic>(k));
+      for (std::size_t l = 0; l < lanes; ++l) {
+        std::size_t code = base + l;
+        for (std::size_t i = 0; i < k; ++i, code /= 3) {
+          scalar[l][i] = kValues[code % 3];
+          packed[i].set_lane(static_cast<unsigned>(l), scalar[l][i]);
+        }
+      }
+      const PackedVal pout = eval_packed_gate(
+          type, k, [&](std::size_t i) { return packed[i]; });
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::vector<Logic>& in = scalar[l];
+        const Logic got =
+            eval_logic_gate(type, k, [&](std::size_t i) { return in[i]; });
+        const std::string ctx = std::string(gate_type_name(type)) + "(" +
+                                logic_string(in) + ")";
+        EXPECT_EQ(got, pout.lane(static_cast<unsigned>(l))) << ctx;
+        if (type == GateType::Input) {
+          EXPECT_EQ(got, Logic::X) << ctx;  // inputs are never evaluated
+        } else {
+          EXPECT_EQ(got, completion_oracle(type, in)) << ctx;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGateTypes, LogicGateEvalTest,
+    ::testing::Values(GateType::Input, GateType::Dff, GateType::Buf,
+                      GateType::Not, GateType::And, GateType::Nand,
+                      GateType::Or, GateType::Nor, GateType::Xor,
+                      GateType::Xnor, GateType::Const0, GateType::Const1),
+    [](const ::testing::TestParamInfo<GateType>& info) {
+      return std::string(gate_type_name(info.param));
+    });
 
 // ---- parallel logic simulator ------------------------------------------------
 

@@ -28,7 +28,6 @@
 #include "atpg/random_tpg.h"
 #include "circuitgen/circuitgen.h"
 #include "fault/fault.h"
-#include "fsim/backend.h"
 #include "fsim/fault_sim.h"
 #include "gatest/checkpoint.h"
 #include "gatest/compaction.h"
@@ -89,13 +88,6 @@ namespace {
       "                      bit-identical to an unpruned run)\n"
       "  --fitness-cache     memoize genome fitness between commits (emitted\n"
       "                      tests are bit-identical with or without it)\n"
-      "  --lane-compaction   re-pack the undetected-fault tail into dense\n"
-      "                      64-lane words (bit-identical results)\n"
-      "  --fsim-backend NAME fault-simulation engine: event (PROOFS-style\n"
-      "                      event-driven, default) or levelized (table-\n"
-      "                      driven 256-lane sweep, AVX2 when available).\n"
-      "                      Every backend emits bit-identical test sets\n"
-      "                      and coverage; only wall-clock time changes\n"
       "\n"
       "run control (GA engines; SIGINT/SIGTERM stop cooperatively and flush):\n"
       "  --time-limit SEC    stop after SEC seconds of wall clock\n"
@@ -237,20 +229,7 @@ int main(int argc, char** argv) {
     else if (a == "--lint-only") lint_only = true;
     else if (a == "--prune-untestable") cfg.prune_untestable = true;
     else if (a == "--prune-proven") cfg.prune_proven = true;
-    else if (a == "--fsim-backend") {
-      const char* v = arg_value(argc, argv, i, argv[0]);
-      if (!fault_sim_backend_known(v)) {
-        std::string known;
-        for (const std::string& n : fault_sim_backend_names()) {
-          if (!known.empty()) known += '|';
-          known += n;
-        }
-        flag_error("--fsim-backend", known.c_str(), v);
-      }
-      cfg.fsim_backend = v;
-    }
     else if (a == "--fitness-cache") cfg.fitness_cache = true;
-    else if (a == "--lane-compaction") cfg.lane_compaction = true;
     else if (a == "--compact") do_compact = true;
     else if (a == "--report") do_report = true;
     else if (a == "--out") out_file = arg_value(argc, argv, i, argv[0]);
