@@ -66,10 +66,11 @@ SampleResult run_sample(const Circuit& c) {
   for (unsigned i = 0; i < kEvalStream; ++i)
     stream.push_back(random_vector(c, rng));
 
+  FaultSimScratch scratch;
   SampleResult r;
   Timer t;
   for (const TestVector& v : stream) {
-    const FaultSimStats s = sim.evaluate_vector(v);
+    const FaultSimStats s = sim.evaluate_vector(v, scratch);
     r.digest.detected += s.detected;
     r.digest.effects += s.fault_effects_at_ffs;
     r.digest.good_events += s.good_events;

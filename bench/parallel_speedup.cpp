@@ -3,8 +3,9 @@
 // good speedups are expected for a parallel GA-based test generator").
 //
 // Fitness evaluation — the dominant cost — is fanned out over N threads,
-// each with its own fault-simulator replica; results are bit-identical to
-// the serial run, so only wall-clock changes.
+// each scoring against the one committed fault simulator with its own
+// scratch; results are bit-identical to the serial run, so only wall-clock
+// changes.
 #include <cstdio>
 #include <iostream>
 #include <thread>

@@ -14,7 +14,8 @@ cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 
 # Static analysis + TSan gate (clang-tidy if installed, -Werror build,
-# ThreadSanitizer smoke of the parallel evaluation path).
+# ThreadSanitizer smoke of the parallel evaluation path: per-thread
+# evaluators sharing one committed simulator).
 scripts/run_static_analysis.sh
 
 # Sanitized run-control smoke: build the CLI with ASan+UBSan and assert that
@@ -33,10 +34,13 @@ rm -f "$smoke_ckpt" "$smoke_ckpt.tmp"
 # naive reference, the packed simulator and the packed simulator with proven
 # pruning — detection sets and every fitness observable, for committed
 # vectors and for scored candidate sequences, must agree exactly while the
-# sanitizers watch the packed kernel.
-echo "=== sanitized differential fuzz (fsim vs reference) ==="
+# sanitizers watch the packed kernel.  The concurrent-evaluation test runs
+# alongside: four threads, each with its own scratch, scoring against one
+# committed simulator.
+echo "=== sanitized differential fuzz + concurrent evaluation ==="
 cmake --build build-sanitize --target fsim_test
-build-sanitize/tests/fsim_test --gtest_filter='FsimDifferentialFuzz*'
+build-sanitize/tests/fsim_test \
+    --gtest_filter='FsimDifferentialFuzz*:*ConcurrentEvaluationMatchesSerial*'
 
 # Fitness cache gate: the memoization cache must deliver >= 1.25x on the
 # s344 phase-2 evaluation stream (and produce bit-identical fitness sums,

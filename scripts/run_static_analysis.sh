@@ -11,8 +11,9 @@
 #   2. a warnings-as-errors build (-DGATEST_WERROR=ON) with the default
 #      toolchain — the repo must compile -Wall -Wextra clean;
 #   3. a ThreadSanitizer smoke: rebuild with GATEST_SANITIZE=thread and
-#      exercise the parallel fitness evaluation path (ThreadPool +
-#      per-worker fault simulators) at 4 threads, the run-control and
+#      exercise the parallel fitness evaluation path (ThreadPool + one
+#      evaluator and scratch per thread, all reading one committed fault
+#      simulator) at 4 threads, the concurrent-evaluation, run-control and
 #      parallelism unit tests, and the gatest_serve daemon (worker pool,
 #      slice preemption, connection threads) under loadgen traffic;
 #   4. a MemorySanitizer smoke (clang only, needs an MSan-instrumented C++
@@ -47,31 +48,37 @@ echo "=== ThreadSanitizer smoke (parallel fitness evaluation, 4 threads) ==="
 cmake -B build-tsan -G Ninja -DGATEST_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan --target gatest_atpg_cli util_test run_control_test \
-      telemetry_test
+      telemetry_test fsim_test gatest_test
 
 export TSAN_OPTIONS="halt_on_error=1"
-# End-to-end: a short GA run with 4 evaluation threads drives
-# ThreadPool::parallel_for and the per-worker simulator replicas — with
-# telemetry attached so the metrics/trace/chunk-timing paths are exercised.
+# End-to-end: a short GA run with 4 evaluation threads drives the thread
+# pool, with every evaluator scoring against the one committed simulator
+# through its own scratch, interleaved with commits on the main thread —
+# with telemetry attached so the metrics/trace/chunk-timing paths are
+# exercised.
 tsan_trace=$(mktemp /tmp/gatest_tsan.XXXXXX.jsonl)
 build-tsan/tools/gatest_atpg --profile s298 --engine ga --seed 1 \
     --threads 4 --max-evals 2000 --trace-out "$tsan_trace" \
     --metrics-out /dev/null || fail=1
 rm -f "$tsan_trace"
-# Same path with the fitness cache on: per-worker caches must stay data-race
-# free at 4 threads.
+# Same path with the fitness cache on: the per-evaluator caches must stay
+# data-race free at 4 threads.
 build-tsan/tools/gatest_atpg --profile s298 --engine ga --seed 1 \
     --threads 4 --max-evals 2000 --fitness-cache \
     --metrics-out /dev/null || fail=1
-# Unit coverage of the pool itself (exception propagation, reuse) and the
-# parallel-vs-serial identity of the generator.
+# Unit coverage of the pool itself (exception propagation, reuse), four
+# threads scoring one const committed simulator at once, and the
+# parallel-vs-serial identity of the generator (warm starts included).
 build-tsan/tests/util_test --gtest_filter='ThreadPool*' || fail=1
+build-tsan/tests/fsim_test \
+    --gtest_filter='*ConcurrentEvaluationMatchesSerial*' || fail=1
+build-tsan/tests/gatest_test \
+    --gtest_filter='GaTestGenerator.*Parallel*:*Seeding*' || fail=1
 build-tsan/tests/run_control_test --gtest_filter='*Parallel*' || fail=1
 # Concurrent metrics updates and the telemetry-attached identity check.
 build-tsan/tests/telemetry_test || fail=1
 # Differential fuzz sweep under TSan (serial, but catches lurking UB that
 # TSan's instrumentation surfaces differently than a plain build).
-cmake --build build-tsan --target fsim_test
 build-tsan/tests/fsim_test --gtest_filter='FsimDifferentialFuzz*' || fail=1
 # Serve daemon under TSan: 4 scheduler workers slicing 4 jobs at an
 # aggressive 20 ms quantum while loadgen polls over TCP and a second

@@ -43,13 +43,12 @@ SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
   ff_ordinal_.assign(c.num_gates(), ~0u);
   for (std::uint32_t i = 0; i < c.dffs().size(); ++i)
     ff_ordinal_[c.dffs()[i]] = i;
-  fval_.assign(c.num_gates(), PackedVal{});
-  ftouched_.assign(c.num_gates(), 0);
-  fqueued_.assign(c.num_gates(), 0);
-  flevel_queue_.resize(c.num_levels());
-  scratch_diffs_.resize(faults.size());
-  scratch_dirty_.assign(faults.size(), 0);
-  eval_detected_.assign(faults.size(), 0);
+  // Commits use only the settle buffers; the diff and detection arrays
+  // serve evaluations.
+  commit_scratch_.fval_.assign(c.num_gates(), PackedVal{});
+  commit_scratch_.ftouched_.assign(c.num_gates(), 0);
+  commit_scratch_.fqueued_.assign(c.num_gates(), 0);
+  commit_scratch_.flevel_queue_.resize(c.num_levels());
 }
 
 void SequentialFaultSimulator::reset() {
@@ -58,7 +57,6 @@ void SequentialFaultSimulator::reset() {
   prev_val_.assign(circuit_->num_gates(), Logic::X);
   seed_const_nets(*circuit_, prev_val_);
   for (auto& d : diffs_) d.clear();
-  started_ = false;
   ++state_epoch_;
 }
 
@@ -82,7 +80,6 @@ FaultSimSnapshot SequentialFaultSimulator::snapshot() const {
   s.prev_values = prev_val_;
   s.diffs = diffs_;
   faults_->export_status(s.status, s.detected_by);
-  s.started = started_;
   return s;
 }
 
@@ -95,34 +92,48 @@ void SequentialFaultSimulator::restore(const FaultSimSnapshot& s) {
   prev_val_ = s.prev_values;
   diffs_ = s.diffs;
   faults_->import_status(s.status, s.detected_by);
-  started_ = s.started;
   ++state_epoch_;
 }
 
 const std::vector<SequentialFaultSimulator::FfDiff>&
-SequentialFaultSimulator::diff_of(std::uint32_t fi, bool commit) const {
-  if (!commit && scratch_dirty_[fi]) return scratch_diffs_[fi];
+SequentialFaultSimulator::diff_of(std::uint32_t fi,
+                                  const EvalContext& ctx) const {
+  if (!ctx.commit() && ctx.s->scratch_dirty_[fi])
+    return ctx.s->scratch_diffs_[fi];
   return diffs_[fi];
 }
 
 void SequentialFaultSimulator::write_diff(std::uint32_t fi,
-                                          std::vector<FfDiff> d, bool commit) {
-  if (commit) {
-    diffs_[fi] = std::move(d);
+                                          std::vector<FfDiff> d,
+                                          const EvalContext& ctx) {
+  if (ctx.commit()) {
+    (*ctx.committed_diffs)[fi] = std::move(d);
   } else {
-    scratch_diffs_[fi] = std::move(d);
-    if (!scratch_dirty_[fi]) {
-      scratch_dirty_[fi] = 1;
-      scratch_dirty_list_.push_back(fi);
+    ctx.s->scratch_diffs_[fi] = std::move(d);
+    if (!ctx.s->scratch_dirty_[fi]) {
+      ctx.s->scratch_dirty_[fi] = 1;
+      ctx.s->scratch_dirty_list_.push_back(fi);
     }
   }
 }
 
-void SequentialFaultSimulator::begin_eval() {
-  for (std::uint32_t fi : scratch_dirty_list_) scratch_dirty_[fi] = 0;
-  scratch_dirty_list_.clear();
-  for (std::uint32_t fi : eval_detected_list_) eval_detected_[fi] = 0;
-  eval_detected_list_.clear();
+void SequentialFaultSimulator::prepare(FaultSimScratch& s) const {
+  for (std::uint32_t fi : s.scratch_dirty_list_) s.scratch_dirty_[fi] = 0;
+  s.scratch_dirty_list_.clear();
+  for (std::uint32_t fi : s.eval_detected_list_) s.eval_detected_[fi] = 0;
+  s.eval_detected_list_.clear();
+  const Circuit& c = *circuit_;
+  const std::size_t nf = faults_->size();
+  if (s.fval_.size() == c.num_gates() && s.scratch_dirty_.size() == nf &&
+      s.flevel_queue_.size() == c.num_levels())
+    return;
+  s.fval_.assign(c.num_gates(), PackedVal{});
+  s.ftouched_.assign(c.num_gates(), 0);
+  s.fqueued_.assign(c.num_gates(), 0);
+  s.flevel_queue_.assign(c.num_levels(), {});
+  s.scratch_diffs_.assign(nf, {});
+  s.scratch_dirty_.assign(nf, 0);
+  s.eval_detected_.assign(nf, 0);
 }
 
 /// Value the faulty machine sees on the faulted line this frame, given the
@@ -142,7 +153,7 @@ Logic SequentialFaultSimulator::injected_value(const Fault& f, Logic cur,
 
 bool SequentialFaultSimulator::fault_is_active(std::uint32_t fi,
                                                const EvalContext& ctx) const {
-  if (!diff_of(fi, ctx.commit).empty()) return true;
+  if (!diff_of(fi, ctx).empty()) return true;
   const Fault& f = faults_->fault(fi);
   const GateId site = f.pin == Fault::kOutputPin
                           ? f.gate
@@ -156,15 +167,15 @@ bool SequentialFaultSimulator::fault_is_active(std::uint32_t fi,
 
 FaultSimStats SequentialFaultSimulator::apply_vector(const TestVector& v,
                                                      std::int64_t test_index) {
-  EvalContext ctx;
-  ctx.val = &good_val_;
-  ctx.prev = &prev_val_;
-  ctx.commit = true;
-  ctx.test_index = test_index;
-  ++counters_.vectors_committed;
+  const EvalContext ctx{.s = &commit_scratch_, .val = &good_val_,
+                        .prev = &prev_val_, .committed_diffs = &diffs_,
+                        .test_index = test_index};
+  ++commit_scratch_.counters_.vectors_committed;
   ++state_epoch_;
   std::vector<std::uint32_t> active = faults_->undetected_indices();
-  return simulate_frame(v, active, ctx);
+  const FaultSimStats stats = simulate_frame(v, active, ctx);
+  commit_scratch_.counters_.faults_dropped += stats.detected;
+  return stats;
 }
 
 FaultSimStats SequentialFaultSimulator::apply_sequence(
@@ -197,21 +208,20 @@ void SequentialFaultSimulator::import_fault_status(
 }
 
 FaultSimStats SequentialFaultSimulator::evaluate_vector(
-    const TestVector& v, std::span<const std::uint32_t> fault_subset) {
-  TestSequence seq(1, v);
-  return evaluate_sequence(seq, fault_subset);
+    const TestVector& v, FaultSimScratch& scratch,
+    std::span<const std::uint32_t> fault_subset) const {
+  return evaluate_sequence(TestSequence(1, v), scratch, fault_subset);
 }
 
 FaultSimStats SequentialFaultSimulator::evaluate_sequence(
-    const TestSequence& seq, std::span<const std::uint32_t> fault_subset) {
-  ++counters_.candidate_evaluations;
-  begin_eval();
-  eval_val_ = good_val_;
-  eval_prev_val_ = prev_val_;
-  EvalContext ctx;
-  ctx.val = &eval_val_;
-  ctx.prev = &eval_prev_val_;
-  ctx.commit = false;
+    const TestSequence& seq, FaultSimScratch& scratch,
+    std::span<const std::uint32_t> fault_subset) const {
+  ++scratch.counters_.candidate_evaluations;
+  prepare(scratch);
+  scratch.eval_val_ = good_val_;
+  scratch.eval_prev_val_ = prev_val_;
+  EvalContext ctx{.s = &scratch, .val = &scratch.eval_val_,
+                  .prev = &scratch.eval_prev_val_};
 
   std::vector<std::uint32_t> active;
   if (fault_subset.empty()) {
@@ -229,15 +239,13 @@ FaultSimStats SequentialFaultSimulator::evaluate_sequence(
 }
 
 FaultSimStats SequentialFaultSimulator::evaluate_vector_good_only(
-    const TestVector& v) {
+    const TestVector& v, FaultSimScratch& scratch) const {
   if (v.size() != circuit_->num_inputs())
     throw std::runtime_error("evaluate_vector_good_only: wrong input count");
-  ++counters_.candidate_evaluations;
-  ++counters_.frames_simulated;
-  eval_val_ = good_val_;
-  EvalContext ctx;
-  ctx.val = &eval_val_;
-  ctx.commit = false;
+  ++scratch.counters_.candidate_evaluations;
+  ++scratch.counters_.frames_simulated;
+  scratch.eval_val_ = good_val_;
+  const EvalContext ctx{.s = &scratch, .val = &scratch.eval_val_};
   FaultSimStats stats;
   settle_good(v, ctx, stats);
   latch_good(ctx, stats);
@@ -246,7 +254,7 @@ FaultSimStats SequentialFaultSimulator::evaluate_vector_good_only(
 
 FaultSimStats SequentialFaultSimulator::simulate_frame(
     const TestVector& v, std::vector<std::uint32_t>& active,
-    EvalContext& ctx) {
+    const EvalContext& ctx) const {
   if (v.size() != circuit_->num_inputs())
     throw std::runtime_error("simulate_frame: wrong input count");
   FaultSimStats stats;
@@ -263,17 +271,15 @@ FaultSimStats SequentialFaultSimulator::simulate_frame(
   // so clock-edge transitions on flop outputs count as transitions).
   *ctx.prev = *ctx.val;
   latch_good(ctx, stats);
-  started_ = started_ || ctx.commit;
-  ++counters_.frames_simulated;
-  counters_.good_events += stats.good_events;
-  counters_.faulty_events += stats.faulty_events;
-  if (ctx.commit) counters_.faults_dropped += stats.detected;
+  ++ctx.s->counters_.frames_simulated;
+  ctx.s->counters_.good_events += stats.good_events;
+  ctx.s->counters_.faulty_events += stats.faulty_events;
   return stats;
 }
 
 void SequentialFaultSimulator::settle_good(const TestVector& v,
-                                           EvalContext& ctx,
-                                           FaultSimStats& stats) {
+                                           const EvalContext& ctx,
+                                           FaultSimStats& stats) const {
   const Circuit& c = *circuit_;
   std::vector<Logic>& val = *ctx.val;
   const auto& inputs = c.inputs();
@@ -294,15 +300,16 @@ void SequentialFaultSimulator::settle_good(const TestVector& v,
   }
 }
 
-void SequentialFaultSimulator::latch_good(EvalContext& ctx,
-                                          FaultSimStats& stats) {
+void SequentialFaultSimulator::latch_good(const EvalContext& ctx,
+                                          FaultSimStats& stats) const {
   const Circuit& c = *circuit_;
   std::vector<Logic>& val = *ctx.val;
-  latch_scratch_.clear();
-  for (GateId ff : c.dffs()) latch_scratch_.push_back(val[c.gate(ff).fanins[0]]);
+  std::vector<Logic>& next_state = ctx.s->latch_scratch_;
+  next_state.clear();
+  for (GateId ff : c.dffs()) next_state.push_back(val[c.gate(ff).fanins[0]]);
   for (std::size_t i = 0; i < c.dffs().size(); ++i) {
     const GateId ff = c.dffs()[i];
-    const Logic next = latch_scratch_[i];
+    const Logic next = next_state[i];
     if (val[ff] != next) {
       ++stats.good_events;
       if (is_binary(next)) ++stats.ffs_changed;
@@ -313,10 +320,11 @@ void SequentialFaultSimulator::latch_good(EvalContext& ctx,
 }
 
 void SequentialFaultSimulator::simulate_fault_groups(
-    std::vector<std::uint32_t>& active, EvalContext& ctx,
-    FaultSimStats& stats) {
+    std::vector<std::uint32_t>& active, const EvalContext& ctx,
+    FaultSimStats& stats) const {
   const Circuit& c = *circuit_;
   const std::vector<Logic>& val = *ctx.val;  // settled good frame, pre-latch
+  FaultSimScratch& s = *ctx.s;  // this frame's working storage
 
   // Partition active faults into groups of kFaultSimLanes, skipping faults
   // that cannot deviate this frame (PROOFS' activity check).
@@ -333,13 +341,13 @@ void SequentialFaultSimulator::simulate_fault_groups(
   std::vector<std::uint32_t> dff_pin_ords;  // FF ordinals with faulted D pins
 
   auto fv = [&](GateId g) -> PackedVal {
-    return ftouched_[g] ? fval_[g] : PackedVal::broadcast(val[g]);
+    return s.ftouched_[g] ? s.fval_[g] : PackedVal::broadcast(val[g]);
   };
 
   auto schedule = [&](GateId g) {
-    if (fqueued_[g]) return;
-    fqueued_[g] = 1;
-    flevel_queue_[c.gate(g).level].push_back(g);
+    if (s.fqueued_[g]) return;
+    s.fqueued_[g] = 1;
+    s.flevel_queue_[c.gate(g).level].push_back(g);
   };
 
   auto touch_write = [&](GateId g, PackedVal nv, bool count) {
@@ -348,20 +356,20 @@ void SequentialFaultSimulator::simulate_fault_groups(
     if (!changed) return;
     if (count)
       stats.faulty_events += static_cast<std::uint64_t>(std::popcount(changed));
-    fval_[g] = nv;
-    ftouched_[g] = 1;
-    touched_list_.push_back(g);
+    s.fval_[g] = nv;
+    s.ftouched_[g] = 1;
+    s.touched_list_.push_back(g);
     for (GateId out : c.gate(g).fanouts)
       if (!is_combinational_source(c.gate(out).type)) schedule(out);
   };
 
   auto run_group = [&]() {
-    ++counters_.fault_groups;
-    counters_.fault_group_lanes += group.size();
+    ++s.counters_.fault_groups;
+    s.counters_.fault_group_lanes += group.size();
     // 1. Seed faulty machines: state diffs, then injections.
     for (unsigned lane = 0; lane < group.size(); ++lane) {
       const std::uint32_t fi = group[lane];
-      for (const FfDiff& d : diff_of(fi, ctx.commit)) {
+      for (const FfDiff& d : diff_of(fi, ctx)) {
         const GateId ffnode = c.dffs()[d.first];
         PackedVal pv = fv(ffnode);
         pv.set_lane(lane, d.second);
@@ -396,11 +404,11 @@ void SequentialFaultSimulator::simulate_fault_groups(
     }
 
     // 2. Event-driven settle by level.
-    for (std::size_t lvl = 0; lvl < flevel_queue_.size(); ++lvl) {
-      auto& q = flevel_queue_[lvl];
+    for (std::size_t lvl = 0; lvl < s.flevel_queue_.size(); ++lvl) {
+      auto& q = s.flevel_queue_[lvl];
       for (std::size_t qi = 0; qi < q.size(); ++qi) {
         const GateId id = q[qi];
-        fqueued_[id] = 0;
+        s.fqueued_[id] = 0;
         const Gate& g = c.gate(id);
         const auto pit = pin_inj.find(id);
         PackedVal nv = eval_packed_gate(
@@ -427,8 +435,8 @@ void SequentialFaultSimulator::simulate_fault_groups(
     // 3. Detection at primary outputs (definite binary differences only).
     std::uint64_t det_mask = 0;
     for (GateId po : c.outputs()) {
-      if (!ftouched_[po]) continue;
-      det_mask |= fval_[po].diff(PackedVal::broadcast(val[po]));
+      if (!s.ftouched_[po]) continue;
+      det_mask |= s.fval_[po].diff(PackedVal::broadcast(val[po]));
     }
 
     for (unsigned lane = 0; lane < group.size(); ++lane) {
@@ -436,12 +444,12 @@ void SequentialFaultSimulator::simulate_fault_groups(
       const std::uint32_t fi = group[lane];
       ++stats.detected;
       detected_now.push_back(fi);
-      if (ctx.commit) {
+      if (ctx.commit()) {
         faults_->mark_detected(fi, ctx.test_index);
-        diffs_[fi].clear();
-      } else if (!eval_detected_[fi]) {
-        eval_detected_[fi] = 1;
-        eval_detected_list_.push_back(fi);
+        (*ctx.committed_diffs)[fi].clear();
+      } else if (!s.eval_detected_[fi]) {
+        s.eval_detected_[fi] = 1;
+        s.eval_detected_list_.push_back(fi);
       }
     }
 
@@ -452,9 +460,9 @@ void SequentialFaultSimulator::simulate_fault_groups(
     //    a faulted data pin.
     std::vector<std::uint32_t> cand;
     for (std::uint32_t ord = 0; ord < c.dffs().size(); ++ord)
-      if (ftouched_[c.gate(c.dffs()[ord]).fanins[0]]) cand.push_back(ord);
+      if (s.ftouched_[c.gate(c.dffs()[ord]).fanins[0]]) cand.push_back(ord);
     for (unsigned lane = 0; lane < group.size(); ++lane)
-      for (const FfDiff& d : diff_of(group[lane], ctx.commit))
+      for (const FfDiff& d : diff_of(group[lane], ctx))
         cand.push_back(d.first);
     for (std::uint32_t ord : dff_pin_ords) cand.push_back(ord);
     std::sort(cand.begin(), cand.end());
@@ -478,10 +486,10 @@ void SequentialFaultSimulator::simulate_fault_groups(
       for (unsigned lane = 0; lane < group.size(); ++lane) {
         const std::uint64_t m = 1ull << lane;
         if (!(mism & m)) continue;
-        const bool detected_lane = (ctx.commit &&
-                                    faults_->status(group[lane]) ==
-                                        FaultStatus::Detected) ||
-                                   (!ctx.commit && eval_detected_[group[lane]]);
+        const bool detected_lane =
+            (ctx.commit() &&
+             faults_->status(group[lane]) == FaultStatus::Detected) ||
+            (!ctx.commit() && s.eval_detected_[group[lane]]);
         if (detected_lane) continue;  // fault dropped: state irrelevant
         new_diffs[lane].emplace_back(ord, next.lane(lane));
         if (strong & m) ++stats.fault_effects_at_ffs;
@@ -490,26 +498,27 @@ void SequentialFaultSimulator::simulate_fault_groups(
     for (unsigned lane = 0; lane < group.size(); ++lane) {
       const std::uint32_t fi = group[lane];
       const bool detected_lane =
-          (ctx.commit && faults_->status(fi) == FaultStatus::Detected) ||
-          (!ctx.commit && eval_detected_[fi]);
+          (ctx.commit() && faults_->status(fi) == FaultStatus::Detected) ||
+          (!ctx.commit() && s.eval_detected_[fi]);
       if (detected_lane) continue;
       // Write even when empty: a previously-diverged machine may have
       // re-converged to the good machine.
-      if (!diff_of(fi, ctx.commit).empty() || !new_diffs[lane].empty())
-        write_diff(fi, std::move(new_diffs[lane]), ctx.commit);
+      if (!diff_of(fi, ctx).empty() || !new_diffs[lane].empty())
+        write_diff(fi, std::move(new_diffs[lane]), ctx);
     }
 
     // 5. Reset scratch for the next group.
-    for (GateId g : touched_list_) ftouched_[g] = 0;
-    touched_list_.clear();
+    for (GateId g : s.touched_list_) s.ftouched_[g] = 0;
+    s.touched_list_.clear();
     out_inj.clear();
     pin_inj.clear();
     dff_pin_ords.clear();
   };
 
   for (std::uint32_t fi : active) {
-    if (ctx.commit && faults_->status(fi) != FaultStatus::Undetected) continue;
-    if (!ctx.commit && eval_detected_[fi]) continue;
+    if (ctx.commit() && faults_->status(fi) != FaultStatus::Undetected)
+      continue;
+    if (!ctx.commit() && s.eval_detected_[fi]) continue;
     if (!fault_is_active(fi, ctx)) continue;
     group.push_back(fi);
     if (group.size() == kFaultSimLanes) {

@@ -72,10 +72,10 @@ struct FaultSimStats {
   }
 };
 
-/// Lifetime workload counters, accumulated across every call (telemetry).
-/// Plain non-atomic fields: a simulator instance is confined to one thread;
-/// parallel runs use one simulator per worker and merge with accumulate().
-/// Observation-only — nothing in the simulator reads them back.
+/// Lifetime workload counters (telemetry).  Commits count into the
+/// simulator, each evaluation into the FaultSimScratch that ran it; merge
+/// them with accumulate().  Observation-only — nothing in the simulator
+/// reads them back.
 struct FsimCounters {
   std::uint64_t vectors_committed = 0;    ///< committed frames (apply_*)
   std::uint64_t candidate_evaluations = 0;///< evaluate_* calls
@@ -107,6 +107,39 @@ struct FsimCounters {
   }
 };
 
+/// Caller-owned working storage for candidate evaluation: everything an
+/// evaluate_* call writes, plus the counters of that work.  The simulator
+/// sizes it on first use; one scratch serves one thread at a time.
+class FaultSimScratch {
+ public:
+  const FsimCounters& counters() const { return counters_; }
+
+ private:
+  friend class SequentialFaultSimulator;
+  using FfDiff = std::pair<std::uint32_t, Logic>;  // (ff ordinal, faulty val)
+
+  // Event-driven fault-group settling.
+  std::vector<PackedVal> fval_;
+  std::vector<std::uint8_t> ftouched_;
+  std::vector<GateId> touched_list_;
+  std::vector<std::vector<GateId>> flevel_queue_;
+  std::vector<std::uint8_t> fqueued_;
+
+  // Copy-on-write faulty-state diffs and detections of one evaluation.
+  std::vector<std::vector<FfDiff>> scratch_diffs_;
+  std::vector<std::uint8_t> scratch_dirty_;
+  std::vector<std::uint32_t> scratch_dirty_list_;
+  std::vector<std::uint8_t> eval_detected_;
+  std::vector<std::uint32_t> eval_detected_list_;
+
+  // Good machine of one evaluation.
+  std::vector<Logic> eval_val_;
+  std::vector<Logic> eval_prev_val_;
+  std::vector<Logic> latch_scratch_;
+
+  FsimCounters counters_;
+};
+
 /// Everything needed to roll a simulator back: good values, per-fault state
 /// diffs, and fault detection status.
 struct FaultSimSnapshot {
@@ -115,7 +148,6 @@ struct FaultSimSnapshot {
   std::vector<std::vector<std::pair<std::uint32_t, Logic>>> diffs;
   std::vector<FaultStatus> status;
   std::vector<std::int64_t> detected_by;
-  bool started = false;
 };
 
 class SequentialFaultSimulator {
@@ -156,23 +188,27 @@ class SequentialFaultSimulator {
   void import_fault_status(const std::vector<FaultStatus>& status,
                            const std::vector<std::int64_t>& detected_by);
 
-  // ---- candidate evaluation (no state mutation) ---------------------------
+  // ---- candidate evaluation (const: no state mutation) --------------------
+  // Every write goes to `scratch`, so threads may evaluate concurrently, each
+  // with its own scratch, while no commit runs.
 
   /// Fitness-evaluate a candidate vector against the committed state.
   /// `fault_subset`: indices into the fault list to simulate (the paper's
   /// fault sampling); empty means every undetected fault.
   FaultSimStats evaluate_vector(
-      const TestVector& v, std::span<const std::uint32_t> fault_subset = {});
+      const TestVector& v, FaultSimScratch& scratch,
+      std::span<const std::uint32_t> fault_subset = {}) const;
 
-  /// Fitness-evaluate a candidate sequence (faulty state evolves in scratch
-  /// storage across the frames; committed state is untouched).
+  /// Fitness-evaluate a candidate sequence (faulty state evolves in the
+  /// scratch across the frames; committed state is untouched).
   FaultSimStats evaluate_sequence(
-      const TestSequence& seq,
-      std::span<const std::uint32_t> fault_subset = {});
+      const TestSequence& seq, FaultSimScratch& scratch,
+      std::span<const std::uint32_t> fault_subset = {}) const;
 
   /// Fault-free-machine-only evaluation (GATEST phase 1 needs just the
   /// flip-flop initialization observables; no fault simulation is run).
-  FaultSimStats evaluate_vector_good_only(const TestVector& v);
+  FaultSimStats evaluate_vector_good_only(const TestVector& v,
+                                          FaultSimScratch& scratch) const;
 
   // ---- state access & checkpointing (paper §IV) ---------------------------
 
@@ -187,10 +223,11 @@ class SequentialFaultSimulator {
   /// back to `s`.
   void restore(const FaultSimSnapshot& s);
 
-  /// Lifetime workload counters (not part of snapshot()/restore(): they
-  /// describe work performed, not machine state).
-  const FsimCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = FsimCounters{}; }
+  /// Lifetime counters of the commit path (evaluations count into their
+  /// scratch).  Not part of snapshot()/restore(): they describe work
+  /// performed, not machine state.
+  const FsimCounters& counters() const { return commit_scratch_.counters_; }
+  void reset_counters() { commit_scratch_.counters_ = FsimCounters{}; }
 
   // ---- committed-state epoch (memoization support) ------------------------
 
@@ -202,43 +239,53 @@ class SequentialFaultSimulator {
   std::uint64_t state_epoch() const { return state_epoch_; }
 
  private:
-  using FfDiff = std::pair<std::uint32_t, Logic>;  // (ff ordinal, faulty val)
+  using FfDiff = FaultSimScratch::FfDiff;
 
   struct EvalContext {
+    FaultSimScratch* s = nullptr;  // commit_scratch_ or the caller's scratch
     // Good net values evolving frame by frame: &good_val_ when committing,
-    // a scratch copy when evaluating.
+    // the scratch copy when evaluating.
     std::vector<Logic>* val = nullptr;
     // Previous frame's *pre-latch* good values (transition-fault launch
     // reference: flip-flop entries hold the state as seen during the
     // previous frame, so clock-edge transitions on flop outputs count).
     std::vector<Logic>* prev = nullptr;
-    bool commit = false;
+    // Commit mode only (null while evaluating): the committed per-fault
+    // diffs the frame rewrites.
+    std::vector<std::vector<FfDiff>>* committed_diffs = nullptr;
     std::int64_t test_index = -1;
     // False only for explicit fault subsets (sampling mode).  When the full
     // universe is simulated, pruned faults are counted back into
     // faults_simulated so fitness denominators match an unpruned run.
     bool full_universe = true;
+    bool commit() const { return committed_diffs != nullptr; }
   };
 
   /// Simulate one frame: good machine, then all faults in `active`
   /// (already filtered to undetected; newly detected faults are removed).
   FaultSimStats simulate_frame(const TestVector& v,
                                std::vector<std::uint32_t>& active,
-                               EvalContext& ctx);
+                               const EvalContext& ctx) const;
 
-  void settle_good(const TestVector& v, EvalContext& ctx, FaultSimStats& stats);
-  void latch_good(EvalContext& ctx, FaultSimStats& stats);
+  void settle_good(const TestVector& v, const EvalContext& ctx,
+                   FaultSimStats& stats) const;
+  void latch_good(const EvalContext& ctx, FaultSimStats& stats) const;
 
   /// The faulty-machine kernel: settle every fault in `active` against the
   /// good frame in *ctx.val, record detections/fault-effects/faulty-events
   /// into `stats`, update the per-fault diff lists, and erase newly detected
   /// faults from `active`.
   void simulate_fault_groups(std::vector<std::uint32_t>& active,
-                             EvalContext& ctx, FaultSimStats& stats);
+                             const EvalContext& ctx,
+                             FaultSimStats& stats) const;
 
-  const std::vector<FfDiff>& diff_of(std::uint32_t fi, bool commit) const;
-  void write_diff(std::uint32_t fi, std::vector<FfDiff> d, bool commit);
-  void begin_eval();  // reset scratch diffs / scratch detection flags
+  const std::vector<FfDiff>& diff_of(std::uint32_t fi,
+                                     const EvalContext& ctx) const;
+  static void write_diff(std::uint32_t fi, std::vector<FfDiff> d,
+                         const EvalContext& ctx);
+  /// Ready `s` for an evaluation: clear the last one's diffs and detection
+  /// flags, and size `s` for this circuit and fault list if it does not fit.
+  void prepare(FaultSimScratch& s) const;
 
   /// Value the faulty machine sees on the faulted line this frame, given the
   /// fault-free current and previous-frame values of that line.
@@ -255,33 +302,12 @@ class SequentialFaultSimulator {
   std::vector<Logic> good_val_;                 // every net, last frame
   std::vector<Logic> prev_val_;                 // pre-latch values, last frame
   std::vector<std::vector<FfDiff>> diffs_;      // per fault
-  bool started_ = false;                        // any vector committed yet
 
-  // Pre-computed per-FF ordinal of each DFF node and reverse map.
+  // Pre-computed per-FF ordinal of each DFF node.
   std::vector<std::uint32_t> ff_ordinal_;       // gate id -> ordinal or ~0
-
-  // Scratch for event-driven fault-group settling (sized once).
-  std::vector<PackedVal> fval_;
-  std::vector<std::uint8_t> ftouched_;
-  std::vector<GateId> touched_list_;
-  std::vector<std::vector<GateId>> flevel_queue_;
-  std::vector<std::uint8_t> fqueued_;
-
-  // Copy-on-write scratch diffs for evaluation mode.
-  std::vector<std::vector<FfDiff>> scratch_diffs_;
-  std::vector<std::uint8_t> scratch_dirty_;
-  std::vector<std::uint32_t> scratch_dirty_list_;
-  std::vector<std::uint8_t> eval_detected_;
-  std::vector<std::uint32_t> eval_detected_list_;
-
-  // Other per-call scratch.
-  std::vector<Logic> eval_val_;
-  std::vector<Logic> eval_prev_val_;
-  std::vector<Logic> latch_scratch_;
+  FaultSimScratch commit_scratch_;              // commit path's scratch
 
   std::uint64_t state_epoch_ = 0;
-
-  FsimCounters counters_;
 };
 
 }  // namespace gatest

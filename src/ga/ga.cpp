@@ -103,6 +103,7 @@ std::size_t GeneticAlgorithm::evaluate(const BatchFitnessFn& fn) {
 
 const Individual& GeneticAlgorithm::run(const BatchFitnessFn& fn) {
   randomize_population();
+  if (!seed_genes_.empty()) set_individual(0, seed_genes_);
   stopped_early_ = false;
   Timer timer;
   for (unsigned gen = 0; gen < config_.num_generations; ++gen) {

@@ -111,6 +111,12 @@ class GeneticAlgorithm {
   /// Seed one slot with a given chromosome (user-supplied initial tests).
   void set_individual(std::size_t slot, std::vector<std::uint8_t> genes);
 
+  /// Warm start: run() plants `genes` in slot 0 right after it randomizes
+  /// the population, so the RNG draws match an unseeded run.
+  void seed_individual(std::vector<std::uint8_t> genes) {
+    seed_genes_ = std::move(genes);
+  }
+
   const std::vector<Individual>& population() const { return pop_; }
 
   /// Evaluate all unevaluated individuals and update the best-ever record.
@@ -170,6 +176,7 @@ class GeneticAlgorithm {
   std::size_t length_;
   Rng* rng_;
   std::vector<Individual> pop_;
+  std::vector<std::uint8_t> seed_genes_;  ///< planted by run(); empty = none
   Individual best_;
   std::size_t evaluations_ = 0;
   std::function<bool()> stop_check_;

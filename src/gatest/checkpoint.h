@@ -4,9 +4,9 @@
 // deterministically from a commit boundary: the committed test set, the
 // per-fault detection state, the RNG state as of the boundary, the
 // phase-machine position, and the result counters accumulated so far.
-// Resume replays the committed vectors through a fresh simulator (and every
-// parallel replica), verifies the replayed fault statuses against the stored
-// ones, then continues the phase loops — so a budget-stopped run resumed
+// Resume replays the committed vectors through a fresh simulator once,
+// verifies the replayed fault statuses against the stored ones, then
+// continues the phase loops — so a budget-stopped run resumed
 // from its checkpoint produces the identical test set and coverage as an
 // uninterrupted run with the same seed.
 //

@@ -74,7 +74,8 @@ struct TestGenConfig {
 
   // ---- parallel fitness evaluation (paper §VI outlook) ---------------------
   /// Number of threads evaluating candidate fitness concurrently (each gets
-  /// its own fault simulator; results are bit-identical to a serial run).
+  /// its own evaluator and simulator scratch, all scoring against the one
+  /// committed simulator; results are bit-identical to a serial run).
   /// 1 = serial.
   unsigned num_threads = 1;
 

@@ -36,9 +36,11 @@ TestSequence decode_sequence(const std::vector<std::uint8_t>& genes,
   return seq;
 }
 
-FitnessEvaluator::FitnessEvaluator(SequentialFaultSimulator& sim,
+FitnessEvaluator::FitnessEvaluator(const SequentialFaultSimulator& sim,
                                    const TestGenConfig& config)
-    : sim_(&sim), config_(&config) {}
+    : sim_(&sim) {
+  set_cache(config.fitness_cache, config.fitness_cache_capacity);
+}
 
 void FitnessEvaluator::set_sample(std::vector<std::uint32_t> sample) {
   if (sample == sample_) return;
@@ -135,10 +137,10 @@ double FitnessEvaluator::vector_fitness(const TestVector& v, Phase phase) {
     ++sim_evaluations_;
     if (phase == Phase::InitializeFfs) {
       // Only the fault-free machine matters for initialization.
-      const FaultSimStats stats = sim_->evaluate_vector_good_only(v);
+      const FaultSimStats stats = sim_->evaluate_vector_good_only(v, scratch_);
       return phase_fitness(stats, phase, 1);
     }
-    const FaultSimStats stats = sim_->evaluate_vector(v, sample_);
+    const FaultSimStats stats = sim_->evaluate_vector(v, scratch_, sample_);
     return phase_fitness(stats, phase, 1);
   };
   if (!cache_enabled_) return compute();
@@ -151,7 +153,7 @@ double FitnessEvaluator::sequence_fitness(const TestSequence& seq) {
   ++phase_evaluations_[static_cast<std::size_t>(Phase::Sequences) - 1];
   const auto compute = [&] {
     ++sim_evaluations_;
-    const FaultSimStats stats = sim_->evaluate_sequence(seq, sample_);
+    const FaultSimStats stats = sim_->evaluate_sequence(seq, scratch_, sample_);
     return phase_fitness(stats, Phase::Sequences, seq.size());
   };
   if (!cache_enabled_) return compute();

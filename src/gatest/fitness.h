@@ -64,11 +64,15 @@ struct FitnessCacheStats {
 };
 
 /// Computes candidate fitness against the simulator's committed state.
+/// Each evaluator owns its simulator scratch, so one evaluator per thread
+/// can share one simulator.
 class FitnessEvaluator {
  public:
-  /// Scores candidates through `sim`'s evaluate_* calls; its circuit() and
-  /// state_epoch() size the fitness terms and key the cache.
-  FitnessEvaluator(SequentialFaultSimulator& sim, const TestGenConfig& config);
+  /// Scores candidates through `sim`'s const evaluate_* calls; its circuit()
+  /// and state_epoch() size the fitness terms and key the cache, which
+  /// starts as `config`'s fitness_cache settings say.
+  FitnessEvaluator(const SequentialFaultSimulator& sim,
+                   const TestGenConfig& config);
 
   /// Set the fault sample used for subsequent evaluations (empty = full
   /// remaining fault list).  Invalidates the cache only when the sample
@@ -110,6 +114,10 @@ class FitnessEvaluator {
     return phase_evaluations_[static_cast<std::size_t>(phase) - 1];
   }
 
+  /// Scratch of this evaluator's simulator calls (and their counters).
+  FaultSimScratch& scratch() { return scratch_; }
+  const FaultSimScratch& scratch() const { return scratch_; }
+
   static constexpr std::size_t kDefaultCacheCapacity = 1u << 14;
 
  private:
@@ -122,8 +130,8 @@ class FitnessEvaluator {
   template <typename Compute>
   double cached(Compute&& compute);
 
-  SequentialFaultSimulator* sim_;
-  const TestGenConfig* config_;
+  const SequentialFaultSimulator* sim_;
+  FaultSimScratch scratch_;
   std::vector<std::uint32_t> sample_;
   std::size_t evaluations_ = 0;
   std::size_t sim_evaluations_ = 0;

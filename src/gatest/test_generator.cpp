@@ -17,10 +17,11 @@ GaTestGenerator::GaTestGenerator(const Circuit& c, FaultList& faults,
       faults_(&faults),
       config_(config),
       sim_(make_fault_sim_backend(config_.fsim_backend, c, faults)),
-      fitness_(*sim_, config_),
       rng_(config.seed) {
   depth_ = std::max(1u, c.sequential_depth());
-  fitness_.set_cache(config_.fitness_cache, config_.fitness_cache_capacity);
+  const unsigned threads = std::max(1u, config_.num_threads);
+  evaluators_.assign(threads, FitnessEvaluator(*sim_, config_));
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   std::vector<UntestableTag> heuristic_tags;
   if (config_.prune_untestable)
     heuristic_tags = analysis::classify_untestable(c, faults.faults());
@@ -41,27 +42,6 @@ GaTestGenerator::GaTestGenerator(const Circuit& c, FaultList& faults,
     if (heuristic || proven) ++faults_pruned_;
   }
   boundary_rng_ = rng_.state();
-  if (config_.num_threads > 1) {
-    // One extra simulator replica per additional thread; the main simulator
-    // doubles as replica 0 during parallel evaluation.
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-    for (unsigned t = 1; t < config_.num_threads; ++t) {
-      worker_faults_.push_back(std::make_unique<FaultList>(c));
-      // Replicas need their own pruned marks (a mirrored Untestable status
-      // alone would not survive replay during checkpoint restore).
-      if (config_.prune_proven)
-        analysis::apply_proven_pruning(*worker_faults_.back(), proofs);
-      // Mirror any pre-detected faults.
-      for (std::size_t i = 0; i < faults.size(); ++i)
-        worker_faults_.back()->set_status(i, faults.status(i));
-      worker_sims_.push_back(make_fault_sim_backend(
-          config_.fsim_backend, c, *worker_faults_.back()));
-      worker_fitness_.push_back(
-          std::make_unique<FitnessEvaluator>(*worker_sims_.back(), config_));
-      worker_fitness_.back()->set_cache(config_.fitness_cache,
-                                        config_.fitness_cache_capacity);
-    }
-  }
 }
 
 FaultSimStats GaTestGenerator::commit_vector(const TestVector& v,
@@ -73,7 +53,6 @@ FaultSimStats GaTestGenerator::commit_vector(const TestVector& v,
     fsim_span = telem_->trace.begin_span(
         "fsim_commit_begin", {{"index", static_cast<long long>(index)}});
   const FaultSimStats stats = sim_->apply_vector(v, index);
-  for (auto& wsim : worker_sims_) wsim->apply_vector(v, index);
   if (fsim_span != 0)
     telem_->trace.end_span(fsim_span, "fsim_commit_end",
                            {{"detected", stats.detected}});
@@ -81,14 +60,15 @@ FaultSimStats GaTestGenerator::commit_vector(const TestVector& v,
 }
 
 FitnessCacheStats GaTestGenerator::cache_stats() const {
-  FitnessCacheStats cs = fitness_.cache_stats();
-  for (const auto& wf : worker_fitness_) cs.accumulate(wf->cache_stats());
+  FitnessCacheStats cs;
+  for (const FitnessEvaluator& ev : evaluators_)
+    cs.accumulate(ev.cache_stats());
   return cs;
 }
 
 std::size_t GaTestGenerator::total_evaluations() const {
-  std::size_t n = prior_evals_ + fitness_.evaluations();
-  for (const auto& wf : worker_fitness_) n += wf->evaluations();
+  std::size_t n = prior_evals_;
+  for (const FitnessEvaluator& ev : evaluators_) n += ev.evaluations();
   return n;
 }
 
@@ -182,7 +162,6 @@ void GaTestGenerator::restore_from_checkpoint(const Checkpoint& cp) {
   config_.seed = cp.seed;
 
   sim_->replay_committed(cp.test_set);
-  for (auto& wsim : worker_sims_) wsim->replay_committed(cp.test_set);
 
   // Replay rebuilds every Detected mark; Untestable marks came from outside
   // (a deterministic engine) and are restored from the checkpoint.  Any
@@ -195,7 +174,6 @@ void GaTestGenerator::restore_from_checkpoint(const Checkpoint& cp) {
     if (want == FaultStatus::Untestable &&
         replayed == FaultStatus::Undetected) {
       faults_->set_status(i, FaultStatus::Untestable);
-      for (auto& wf : worker_faults_) wf->set_status(i, FaultStatus::Untestable);
       continue;
     }
     throw std::runtime_error(
@@ -297,17 +275,17 @@ const Individual& GaTestGenerator::run_ga(
   const Individual* best = nullptr;
   if (!pool_) {
     best = &ga.run([&](const std::vector<std::uint8_t>& genes) {
-      return fit(fitness_, genes);
+      return fit(evaluators_.front(), genes);
     });
   } else {
-    // Parallel path: split each unevaluated batch across the simulator
-    // replicas.  Fitness values are identical to the serial path (replicas
-    // are committed-state clones), so results do not depend on the thread
-    // count.
+    // Parallel path: split each unevaluated batch into one chunk per
+    // evaluator.  Every evaluator scores against the same committed
+    // simulator state with its own scratch, so fitness values — and hence
+    // results — do not depend on the thread count.
     best = &ga.run([&](const std::vector<const std::vector<std::uint8_t>*>&
                            batch,
                        std::vector<double>& out) {
-      const std::size_t sims = worker_sims_.size() + 1;
+      const std::size_t sims = evaluators_.size();
       const std::size_t chunk = (batch.size() + sims - 1) / sims;
       const bool timed = telem_ != nullptr;
       if (timed) chunk_seconds_.assign(sims, 0.0);
@@ -316,8 +294,7 @@ const Individual& GaTestGenerator::run_ga(
         const std::size_t begin = s * chunk;
         const std::size_t end = std::min(batch.size(), begin + chunk);
         if (begin >= end) break;
-        FitnessEvaluator* ev =
-            s == 0 ? &fitness_ : worker_fitness_[s - 1].get();
+        FitnessEvaluator* ev = &evaluators_[s];
         ++used;
         // Each task writes its wall time into its own slot; the main thread
         // reads them only after wait_idle()'s join, so this is race-free.
@@ -379,7 +356,7 @@ GaConfig GaTestGenerator::vector_ga_config() const {
   return ga;
 }
 
-GaConfig GaTestGenerator::sequence_ga_config(unsigned frames) const {
+GaConfig GaTestGenerator::sequence_ga_config() const {
   GaConfig ga;
   ga.population_size = config_.seq_population;
   ga.mutation_prob = config_.seq_mutation;
@@ -391,7 +368,6 @@ GaConfig GaTestGenerator::sequence_ga_config(unsigned frames) const {
   ga.gene_block = static_cast<unsigned>(circuit_->num_inputs());
   ga.generation_gap = config_.generation_gap;
   ga.elitism = config_.elitism;
-  (void)frames;
   return ga;
 }
 
@@ -409,53 +385,16 @@ void GaTestGenerator::refresh_sample() {
       sample.resize(config_.fault_sample_size);
     }
   }
-  for (auto& wf : worker_fitness_) wf->set_sample(sample);
-  fitness_.set_sample(std::move(sample));
+  for (FitnessEvaluator& ev : evaluators_) ev.set_sample(sample);
 }
 
 TestVector GaTestGenerator::evolve_vector(Phase phase) {
   refresh_sample();
   GeneticAlgorithm ga(vector_ga_config(), circuit_->num_inputs(), rng_);
+  // Warm start: the previous best joins the random initial population.
   if (config_.seed_with_previous_best &&
-      last_best_genes_.size() == circuit_->num_inputs()) {
-    // Warm start: GeneticAlgorithm::run() randomizes before evaluating, so
-    // plant the seed through a wrapper around the first evaluation instead.
-    ga.randomize_population();
-    ga.set_individual(0, last_best_genes_);
-    const auto fit = [this, phase](FitnessEvaluator& ev,
-                                   const std::vector<std::uint8_t>& genes) {
-      return ev.vector_fitness(decode_vector(genes, circuit_->num_inputs()),
-                               phase);
-    };
-    const double ga_t0 = tracker_.elapsed_seconds();
-    std::uint64_t ga_span = 0;
-    if (tracing())
-      ga_span = telem_->trace.begin_span(
-          "ga_run_begin",
-          {{"phase", current_phase_name()},
-           {"length", static_cast<std::uint64_t>(ga.chromosome_length())},
-           {"warm_start", true}});
-    for (unsigned gen = 0; gen < config_.num_generations; ++gen) {
-      ga.evaluate([&](const std::vector<std::uint8_t>& genes) {
-        return fit(fitness_, genes);
-      });
-      if (stop_now()) break;
-      if (gen + 1 < config_.num_generations) ga.next_generation();
-    }
-    if (telem_) {
-      const double dur = tracker_.elapsed_seconds() - ga_t0;
-      telem_->metrics.counter("ga.runs").add(1);
-      telem_->metrics.histogram("ga.run_seconds").observe(dur);
-      telem_->trace.end_span(
-          ga_span, "ga_run_end",
-          {{"phase", current_phase_name()},
-           {"dur_s", dur},
-           {"best", ga.best().fitness},
-           {"evaluations", static_cast<std::uint64_t>(ga.evaluations())}});
-    }
-    last_best_genes_ = ga.best().genes;
-    return decode_vector(ga.best().genes, circuit_->num_inputs());
-  }
+      last_best_genes_.size() == circuit_->num_inputs())
+    ga.seed_individual(last_best_genes_);
   const Individual& best = run_ga(
       ga, [this, phase](FitnessEvaluator& ev,
                         const std::vector<std::uint8_t>& genes) {
@@ -468,7 +407,7 @@ TestVector GaTestGenerator::evolve_vector(Phase phase) {
 
 TestSequence GaTestGenerator::evolve_sequence(unsigned frames) {
   refresh_sample();
-  GeneticAlgorithm ga(sequence_ga_config(frames),
+  GeneticAlgorithm ga(sequence_ga_config(),
                       static_cast<std::size_t>(frames) * circuit_->num_inputs(),
                       rng_);
   const Individual& best = run_ga(
@@ -611,9 +550,10 @@ void GaTestGenerator::generate_sequences() {
 
       // Commit only sequences that actually detect something against the
       // full fault list; a side-effect-free evaluation makes the decision,
-      // so the committed state (and every parallel replica) only ever moves
-      // forward (paper §IV's store/restore, realized by scratch evaluation).
-      const FaultSimStats probe = sim_->evaluate_sequence(best);
+      // so the committed state only ever moves forward (paper §IV's
+      // store/restore, realized by scratch evaluation).
+      const FaultSimStats probe =
+          sim_->evaluate_sequence(best, evaluators_.front().scratch());
       if (probe.detected == 0) {
         ++state_.seq_consecutive_failures;
         continue;
@@ -761,8 +701,10 @@ void GaTestGenerator::telemetry_finalize_metrics() {
     if (total > c.value()) c.add(total - c.value());
   };
 
+  // The commit counters plus every evaluator's: the same at any thread count.
   FsimCounters fc = sim_->counters();
-  for (const auto& ws : worker_sims_) fc.accumulate(ws->counters());
+  for (const FitnessEvaluator& ev : evaluators_)
+    fc.accumulate(ev.scratch().counters());
   set_total("fsim.vectors_committed", fc.vectors_committed);
   set_total("fsim.candidate_evaluations", fc.candidate_evaluations);
   set_total("fsim.frames_simulated", fc.frames_simulated);
@@ -779,14 +721,16 @@ void GaTestGenerator::telemetry_finalize_metrics() {
   set_total("fitness.cache.misses", cs.misses);
   set_total("fitness.cache.evictions", cs.evictions);
   set_total("fitness.cache.invalidations", cs.invalidations);
-  std::size_t sim_evals = fitness_.sim_evaluations();
-  for (const auto& wf : worker_fitness_) sim_evals += wf->sim_evaluations();
+  std::size_t sim_evals = 0;
+  for (const FitnessEvaluator& ev : evaluators_)
+    sim_evals += ev.sim_evaluations();
   set_total("fitness.sim_evaluations", sim_evals);
 
   for (Phase p : {Phase::InitializeFfs, Phase::DetectFaults,
                   Phase::DetectWithActivity, Phase::Sequences}) {
-    std::size_t evals = fitness_.evaluations_in(p);
-    for (const auto& wf : worker_fitness_) evals += wf->evaluations_in(p);
+    std::size_t evals = 0;
+    for (const FitnessEvaluator& ev : evaluators_)
+      evals += ev.evaluations_in(p);
     set_total(std::string("fitness.evals.") + phase_name(p), evals);
   }
 

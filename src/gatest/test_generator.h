@@ -83,12 +83,12 @@ class GaTestGenerator {
   void set_telemetry(telemetry::RunTelemetry* telemetry) { telem_ = telemetry; }
 
   /// Rebuild committed state from a checkpoint (before run()): the test set
-  /// is replayed through the simulator and every parallel replica, replayed
-  /// fault statuses are verified against the stored ones, and the RNG and
-  /// phase machine continue from the recorded commit boundary, so the
-  /// resumed run is bit-identical to an uninterrupted one with the same
-  /// seed.  Throws std::runtime_error on circuit/fault-universe mismatch or
-  /// replay divergence.
+  /// is replayed through the simulator once, replayed fault statuses are
+  /// verified against the stored ones, and the RNG and phase machine
+  /// continue from the recorded commit boundary, so the resumed run is
+  /// bit-identical to an uninterrupted one with the same seed.  Throws
+  /// std::runtime_error on circuit/fault-universe mismatch or replay
+  /// divergence.
   void restore_from_checkpoint(const Checkpoint& cp);
 
   /// Snapshot of the last commit boundary (what a stop would write to disk).
@@ -125,8 +125,8 @@ class GaTestGenerator {
   /// Effective sequential depth used for limits: max(1, structural depth).
   unsigned effective_depth() const { return depth_; }
 
-  /// Fitness-cache counters aggregated over the main evaluator and every
-  /// parallel worker (all zero unless TestGenConfig::fitness_cache).
+  /// Fitness-cache counters aggregated over every per-thread evaluator (all
+  /// zero unless TestGenConfig::fitness_cache).
   FitnessCacheStats cache_stats() const;
 
  private:
@@ -162,10 +162,10 @@ class GaTestGenerator {
   TestSequence evolve_sequence(unsigned frames);
 
   /// Draw a fresh fault sample if sampling is enabled (applied to every
-  /// evaluator so parallel workers score identically).
+  /// evaluator so all threads score identically).
   void refresh_sample();
 
-  /// Commit a vector through the main simulator and every worker replica.
+  /// Commit a vector through the simulator (traced as an fsim_commit span).
   FaultSimStats commit_vector(const TestVector& v, std::int64_t index);
 
   /// Run one GA with the right (serial or parallel) evaluation strategy.
@@ -193,15 +193,19 @@ class GaTestGenerator {
   void telemetry_finalize_metrics();
 
   GaConfig vector_ga_config() const;
-  GaConfig sequence_ga_config(unsigned frames) const;
+  GaConfig sequence_ga_config() const;
 
   const Circuit* circuit_;
   FaultList* faults_;
   TestGenConfig config_;
-  /// Built by make_fault_sim_backend(config_.fsim_backend), so a stale
-  /// engine name throws at construction.
+  /// The one committed fault-simulation state, shared read-only by every
+  /// evaluation thread.  Built by make_fault_sim_backend(
+  /// config_.fsim_backend), so a stale engine name throws at construction.
   std::unique_ptr<SequentialFaultSimulator> sim_;
-  FitnessEvaluator fitness_;
+  /// One evaluator per evaluation thread (config_.num_threads), each with
+  /// its own simulator scratch and fitness cache; [0] also serves the
+  /// serial path.
+  std::vector<FitnessEvaluator> evaluators_;
   Rng rng_;
   unsigned depth_ = 1;
   std::size_t faults_pruned_ = 0;  ///< static-analysis count (accounting only)
@@ -225,13 +229,9 @@ class GaTestGenerator {
   std::atomic<bool> slice_requested_{false};
   std::size_t slice_start_vectors_ = 0;  // test-set size when run() started
 
-  // Parallel evaluation replicas (config_.num_threads > 1): each worker owns
-  // a fault-list copy and simulator kept in lockstep with the main one by
-  // replaying every committed vector.
+  // Parallel evaluation (config_.num_threads > 1): batch chunk k runs on a
+  // pool thread with evaluators_[k].
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<FaultList>> worker_faults_;
-  std::vector<std::unique_ptr<SequentialFaultSimulator>> worker_sims_;
-  std::vector<std::unique_ptr<FitnessEvaluator>> worker_fitness_;
 
   // Telemetry (borrowed; nullptr = disabled).  The open-phase bookkeeping
   // lets the per-phase spans tile the whole run: a span closes exactly when

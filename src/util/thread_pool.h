@@ -2,8 +2,9 @@
 //
 // The paper's conclusion notes that GAs are "particularly amenable to
 // parallel implementations"; gatest::GaTestGenerator uses this pool to
-// evaluate a population's candidates concurrently (one fault simulator per
-// worker).  The pool is deliberately simple: submit tasks, wait for all.
+// evaluate a population's candidates concurrently (one fitness evaluator per
+// worker, all reading one fault simulator).  The pool is deliberately
+// simple: submit tasks, wait for all.
 #pragma once
 
 #include <condition_variable>

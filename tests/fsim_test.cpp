@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -295,8 +296,9 @@ TEST(FaultSim, GoodOnlyEvaluationMatchesApply) {
   const Circuit c = make_s27();
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   const TestVector v = logic_vector("0110");
-  const FaultSimStats ev = sim.evaluate_vector_good_only(v);
+  const FaultSimStats ev = sim.evaluate_vector_good_only(v, scratch);
   const FaultSimStats ap = sim.apply_vector(v, 0);
   EXPECT_EQ(ev.ffs_set, ap.ffs_set);
   EXPECT_EQ(ev.ffs_changed, ap.ffs_changed);
@@ -307,6 +309,7 @@ TEST(FaultSim, EvaluateDoesNotMutateState) {
   const Circuit c = make_s27();
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   sim.apply_vector(logic_vector("0101"), 0);
 
   const auto snap_state = sim.good_ff_state();
@@ -317,7 +320,7 @@ TEST(FaultSim, EvaluateDoesNotMutateState) {
   for (int i = 0; i < 10; ++i) {
     TestSequence seq;
     for (int j = 0; j < 4; ++j) seq.push_back(random_vector(c, rng));
-    sim.evaluate_sequence(seq);
+    sim.evaluate_sequence(seq, scratch);
   }
   EXPECT_EQ(sim.good_ff_state(), snap_state);
   EXPECT_EQ(fl.num_detected(), det_before);
@@ -328,10 +331,11 @@ TEST(FaultSim, EvaluateThenApplyAgree) {
   const Circuit c = make_s27();
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   Rng rng(17);
   for (int round = 0; round < 12; ++round) {
     const TestVector v = random_vector(c, rng);
-    const FaultSimStats ev = sim.evaluate_vector(v);
+    const FaultSimStats ev = sim.evaluate_vector(v, scratch);
     const FaultSimStats ap = sim.apply_vector(v, round);
     expect_stats_equal(ev, ap, "round " + std::to_string(round));
   }
@@ -341,6 +345,7 @@ TEST(FaultSim, EvaluateSequenceMatchesSequentialApplies) {
   const Circuit c = benchmark_circuit("s298", 3);
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   Rng rng(23);
   // Commit a prefix to give the machine interesting state.
   for (int i = 0; i < 5; ++i) sim.apply_vector(random_vector(c, rng), i);
@@ -348,7 +353,7 @@ TEST(FaultSim, EvaluateSequenceMatchesSequentialApplies) {
   TestSequence seq;
   for (int j = 0; j < 6; ++j) seq.push_back(random_vector(c, rng));
 
-  const FaultSimStats ev = sim.evaluate_sequence(seq);
+  const FaultSimStats ev = sim.evaluate_sequence(seq, scratch);
 
   // Replay on a snapshot-restored committed machine.
   const auto snap = sim.snapshot();
@@ -397,12 +402,13 @@ TEST(FaultSim, FaultSamplingRestrictsSimulation) {
   const Circuit c = benchmark_circuit("s298", 3);
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   Rng rng(37);
   const TestVector v = random_vector(c, rng);
 
   std::vector<std::uint32_t> sample;
   for (std::uint32_t i = 0; i < 50; ++i) sample.push_back(i);
-  const FaultSimStats s = sim.evaluate_vector(v, sample);
+  const FaultSimStats s = sim.evaluate_vector(v, scratch, sample);
   EXPECT_LE(s.faults_simulated, 50u);
   EXPECT_LE(s.detected, 50u);
 }
@@ -411,14 +417,15 @@ TEST(FaultSim, SampledDetectionsSubsetOfFull) {
   const Circuit c = benchmark_circuit("s298", 3);
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   Rng rng(41);
   for (int i = 0; i < 6; ++i) sim.apply_vector(random_vector(c, rng), i);
 
   const TestVector v = random_vector(c, rng);
-  const FaultSimStats full = sim.evaluate_vector(v);
+  const FaultSimStats full = sim.evaluate_vector(v, scratch);
   std::vector<std::uint32_t> sample;
   for (std::uint32_t i = 0; i < fl.size(); i += 3) sample.push_back(i);
-  const FaultSimStats part = sim.evaluate_vector(v, sample);
+  const FaultSimStats part = sim.evaluate_vector(v, scratch, sample);
   EXPECT_LE(part.detected, full.detected);
 }
 
@@ -488,6 +495,7 @@ TEST(FaultSim, StateEpochBumpSemantics) {
   const Circuit c = make_s27();
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   std::uint64_t e = sim.state_epoch();
 
   sim.apply_vector(logic_vector("0101"), 0);
@@ -495,8 +503,8 @@ TEST(FaultSim, StateEpochBumpSemantics) {
   e = sim.state_epoch();
 
   // Evaluation must never bump the epoch (memoized fitness stays valid).
-  sim.evaluate_vector(logic_vector("1010"));
-  sim.evaluate_vector_good_only(logic_vector("1111"));
+  sim.evaluate_vector(logic_vector("1010"), scratch);
+  sim.evaluate_vector_good_only(logic_vector("1111"), scratch);
   EXPECT_EQ(sim.state_epoch(), e);
 
   const FaultSimSnapshot snap = sim.snapshot();
@@ -580,18 +588,26 @@ TEST(FaultSim, CountersTrackWorkAndReset) {
   const Circuit c = benchmark_circuit("s298", 3);
   FaultList fl(c);
   SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
   Rng rng(127);
   for (int i = 0; i < 4; ++i) sim.apply_vector(random_vector(c, rng), i);
-  sim.evaluate_vector(random_vector(c, rng));
+  sim.evaluate_vector(random_vector(c, rng), scratch);
 
+  // Commits count into the simulator, the evaluation into its scratch.
   const FsimCounters& fc = sim.counters();
   EXPECT_EQ(fc.vectors_committed, 4u);
-  EXPECT_EQ(fc.candidate_evaluations, 1u);
-  EXPECT_EQ(fc.frames_simulated, 5u);
+  EXPECT_EQ(fc.candidate_evaluations, 0u);
+  EXPECT_EQ(fc.frames_simulated, 4u);
   EXPECT_GT(fc.fault_groups, 0u);
   EXPECT_GT(fc.fault_group_lanes, 0u);
   EXPECT_GT(fc.packed_utilization(), 0.0);
   EXPECT_LE(fc.packed_utilization(), 1.0);
+  const FsimCounters& ec = scratch.counters();
+  EXPECT_EQ(ec.vectors_committed, 0u);
+  EXPECT_EQ(ec.candidate_evaluations, 1u);
+  EXPECT_EQ(ec.frames_simulated, 1u);
+  EXPECT_EQ(ec.faults_dropped, 0u);
+  EXPECT_GT(ec.fault_groups, 0u);
 
   sim.reset_counters();
   EXPECT_EQ(sim.counters().vectors_committed, 0u);
@@ -603,7 +619,8 @@ TEST(FaultSim, EvaluateVectorWithAllFaultsDetected) {
   FaultList fl(c);
   for (std::size_t i = 0; i < fl.size(); ++i) fl.mark_detected(i, 0);
   SequentialFaultSimulator sim(c, fl);
-  const FaultSimStats s = sim.evaluate_vector(logic_vector("1010"));
+  FaultSimScratch scratch;
+  const FaultSimStats s = sim.evaluate_vector(logic_vector("1010"), scratch);
   EXPECT_EQ(s.detected, 0u);
   EXPECT_EQ(s.faults_simulated, 0u);
   EXPECT_GT(s.good_events, 0u);  // good machine still simulates
@@ -733,6 +750,7 @@ class FsimContractTest
   const Circuit c_;
   FaultList fl_;
   SequentialFaultSimulator sim_;
+  FaultSimScratch scratch_;
 };
 
 TEST_P(FsimContractTest, EvaluateVectorMatchesApplyAndMutatesNothing) {
@@ -743,7 +761,7 @@ TEST_P(FsimContractTest, EvaluateVectorMatchesApplyAndMutatesNothing) {
     const std::size_t det = fl_.num_detected();
     const std::uint64_t epoch = sim_.state_epoch();
     const TestVector v = random_vector(c_, rng);
-    const FaultSimStats ev = sim_.evaluate_vector(v);
+    const FaultSimStats ev = sim_.evaluate_vector(v, scratch_);
     EXPECT_EQ(sim_.good_ff_state(), state);
     EXPECT_EQ(fl_.num_detected(), det);
     EXPECT_EQ(sim_.state_epoch(), epoch);
@@ -758,7 +776,7 @@ TEST_P(FsimContractTest, EvaluateSequenceMatchesApplySequence) {
   for (int round = 0; round < 4; ++round) {
     TestSequence seq(2 + round);
     for (TestVector& v : seq) v = random_vector(c_, rng);
-    const FaultSimStats ev = sim_.evaluate_sequence(seq);
+    const FaultSimStats ev = sim_.evaluate_sequence(seq, scratch_);
     const FaultSimSnapshot snap = sim_.snapshot();
     const FaultSimStats ap = sim_.apply_sequence(seq, 100);
     const std::string where = ctx("round " + std::to_string(round));
@@ -814,7 +832,7 @@ TEST_P(FsimContractTest, ReplayPlusImportRestoresTheResumePoint) {
   sim_.export_fault_status(status, detected_by);
   const auto state = sim_.good_ff_state();
   const TestVector next = random_vector(c_, rng);
-  const FaultSimStats want = sim_.evaluate_vector(next);
+  const FaultSimStats want = sim_.evaluate_vector(next, scratch_);
 
   // The run-control resume path: rebuild machine state by replay, then
   // overwrite the bookkeeping with the exported records.
@@ -826,7 +844,59 @@ TEST_P(FsimContractTest, ReplayPlusImportRestoresTheResumePoint) {
     ASSERT_EQ(fl_.detected_by(f), detected_by[f])
         << fault_name(c_, fl_.fault(f));
   }
-  expect_stats_equal(sim_.evaluate_vector(next), want, ctx("after resume"));
+  expect_stats_equal(sim_.evaluate_vector(next, scratch_), want,
+                     ctx("after resume"));
+}
+
+TEST_P(FsimContractTest, ConcurrentEvaluationMatchesSerial) {
+  // Evaluation is a const function of the committed state plus the caller's
+  // scratch: four threads, each with its own scratch, score one candidate
+  // set against one simulator and must each see exactly the serial scores.
+  Rng rng(239);
+  commit(rng, 5);
+  std::vector<TestSequence> candidates;
+  for (int i = 0; i < 12; ++i) {
+    TestSequence seq(1 + i % 4);
+    for (TestVector& v : seq) v = random_vector(c_, rng);
+    candidates.push_back(std::move(seq));
+  }
+  std::vector<std::uint32_t> sample;
+  for (std::uint32_t f = 0; f < fl_.size(); f += 2) sample.push_back(f);
+  // Per candidate: full-universe score, sampled score, good machine only.
+  const auto score_all = [&](const SequentialFaultSimulator& sim,
+                             FaultSimScratch& scratch) {
+    std::vector<FaultSimStats> out;
+    for (const TestSequence& seq : candidates) {
+      out.push_back(sim.evaluate_sequence(seq, scratch));
+      out.push_back(sim.evaluate_vector(seq.front(), scratch, sample));
+      out.push_back(sim.evaluate_vector_good_only(seq.front(), scratch));
+    }
+    return out;
+  };
+  const SequentialFaultSimulator& committed = sim_;
+  const std::vector<FaultSimStats> serial = score_all(committed, scratch_);
+  const auto state = sim_.good_ff_state();
+  const std::uint64_t epoch = sim_.state_epoch();
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<FaultSimStats>> got(kThreads);
+  std::vector<FaultSimScratch> scratches(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { got[t] = score_all(committed, scratches[t]); });
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      expect_stats_equal(got[t][i], serial[i],
+                         ctx("thread " + std::to_string(t) + " score " +
+                             std::to_string(i)));
+    EXPECT_EQ(scratches[t].counters().candidate_evaluations,
+              scratch_.counters().candidate_evaluations);
+  }
+  EXPECT_EQ(sim_.good_ff_state(), state);
+  EXPECT_EQ(sim_.state_epoch(), epoch);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -912,6 +982,7 @@ TEST(FsimDifferentialFuzz, RandomCircuitsMatchReference) {
     ReferenceFaultSim ref(c, ref_fl.faults());
     FaultList plain_fl(c);
     SequentialFaultSimulator plain(c, plain_fl);
+    FaultSimScratch plain_scratch;
     // Third machine: same universe with every implication-proven inert
     // fault pruned.  The prover claims those faults have zero simulation
     // footprint, so every frame observable must stay bit-identical and no
@@ -935,7 +1006,8 @@ TEST(FsimDifferentialFuzz, RandomCircuitsMatchReference) {
         probe_detected += fs.detected;
         probe_effects += fs.ff_effects;
       }
-      const FaultSimStats scored = plain.evaluate_sequence(probe_seq);
+      const FaultSimStats scored =
+          plain.evaluate_sequence(probe_seq, plain_scratch);
       ASSERT_EQ(scored.detected, probe_detected)
           << prof.name << " frame " << t << " (evaluate_sequence)";
       ASSERT_EQ(scored.fault_effects_at_ffs, probe_effects)

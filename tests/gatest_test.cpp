@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "circuitgen/circuitgen.h"
 #include "fault/fault.h"
@@ -11,6 +15,8 @@
 #include "gatest/config.h"
 #include "gatest/fitness.h"
 #include "gatest/test_generator.h"
+#include "telemetry/json.h"
+#include "telemetry/telemetry.h"
 #include "util/rng.h"
 
 namespace gatest {
@@ -431,8 +437,8 @@ TEST(GaTestGenerator, SeedingAndElitismRun) {
 }
 
 TEST(GaTestGenerator, SeedingWithThreadsStillCorrect) {
-  // The warm-start path evaluates serially even when threads are
-  // configured; results must match the unthreaded warm-start run exactly.
+  // Warm-started GA runs fan their batches out over the threads like any
+  // other run; results must match the unthreaded warm-start run exactly.
   const Circuit c = benchmark_circuit("s298", 3);
   auto run_with = [&](unsigned threads) {
     FaultList faults(c);
@@ -446,7 +452,48 @@ TEST(GaTestGenerator, SeedingWithThreadsStillCorrect) {
   const TestGenResult a = run_with(1);
   const TestGenResult b = run_with(3);
   EXPECT_EQ(a.faults_detected, b.faults_detected);
-  EXPECT_EQ(a.test_set.size(), b.test_set.size());
+  EXPECT_EQ(a.test_set, b.test_set);
+  EXPECT_EQ(a.fitness_evaluations, b.fitness_evaluations);
+}
+
+TEST(GaTestGenerator, WarmStartRunsReportTheirGenerations) {
+  // A warm-started vector GA runs the same loop as every other GA run, so
+  // each traced vector-phase ga_run span holds its generation events.
+  const Circuit c = benchmark_circuit("s298", 3);
+  FaultList faults(c);
+  TestGenConfig cfg;
+  cfg.seed = 61;
+  cfg.seed_with_previous_best = true;
+  cfg.enable_sequence_phase = false;
+  std::vector<std::string> lines;
+  telemetry::RunTelemetry telem;
+  telem.trace.open(
+      [&lines](const std::string& line) { lines.push_back(line); });
+  GaTestGenerator gen(c, faults, cfg);
+  gen.set_telemetry(&telem);
+  gen.run();
+  telem.trace.close();
+
+  std::size_t vector_runs = 0;
+  bool in_run = false;
+  unsigned generations = 0;
+  for (const std::string& line : lines) {
+    const telemetry::JsonValue ev = telemetry::parse_json(line);
+    const std::string type = ev.string_or("type", "");
+    if (type == "ga_run_begin") {
+      in_run = ev.string_or("phase", "") != "sequences";
+      generations = 0;
+    } else if (type == "generation" && in_run) {
+      ++generations;
+    } else if (type == "ga_run_end" && in_run) {
+      ++vector_runs;
+      EXPECT_GE(generations, 1u) << "vector-phase ga_run #" << vector_runs
+                                 << " has no generation event";
+      in_run = false;
+    }
+  }
+  // Every run after the first is warm-started.
+  EXPECT_GT(vector_runs, 2u);
 }
 
 TEST(GaTestGenerator, NonBinaryCodingRuns) {
@@ -585,7 +632,8 @@ TEST(Compaction, GatestSetsCompactOnlyALittle) {
 
 TEST(GaTestGenerator, ParallelEvaluationMatchesSerial) {
   // The paper's parallel-GA outlook: thread-parallel fitness evaluation must
-  // be bit-identical to the serial run (replica simulators are clones).
+  // be bit-identical to the serial run (every thread scores against the
+  // same committed simulator state).
   const Circuit c = benchmark_circuit("s298", 3);
   auto run_with = [&](unsigned threads) {
     FaultList faults(c);
@@ -619,7 +667,41 @@ TEST(GaTestGenerator, ParallelWithSamplingMatchesSerial) {
   const TestGenResult serial = run_with(1);
   const TestGenResult parallel = run_with(3);
   EXPECT_EQ(serial.faults_detected, parallel.faults_detected);
-  EXPECT_EQ(serial.test_set.size(), parallel.test_set.size());
+  EXPECT_EQ(serial.test_set, parallel.test_set);
+  EXPECT_EQ(serial.fitness_evaluations, parallel.fitness_evaluations);
+}
+
+TEST(GaTestGenerator, WorkCountersDoNotDependOnThreadCount) {
+  // Every thread scores candidates against the one committed simulator, so
+  // a run's fault-simulation counters are the same at 1 and 4 threads:
+  // each vector is committed once, and each candidate is evaluated once,
+  // whichever thread scores it.
+  const Circuit c = benchmark_circuit("s298");
+  const char* const names[] = {
+      "fsim.vectors_committed", "fsim.candidate_evaluations",
+      "fsim.frames_simulated",  "fsim.good_events",
+      "fsim.faulty_events",     "fsim.faults_dropped",
+      "fsim.fault_groups",      "fsim.fault_group_lanes",
+      "fitness.sim_evaluations"};
+  auto run_with = [&](unsigned threads) {
+    FaultList faults(c);
+    TestGenConfig cfg;
+    cfg.seed = 11;
+    cfg.num_threads = threads;
+    telemetry::RunTelemetry telem;
+    GaTestGenerator gen(c, faults, cfg);
+    gen.set_telemetry(&telem);
+    const TestGenResult res = gen.run();
+    std::map<std::string, std::uint64_t> counts;
+    for (const char* name : names)
+      counts[name] = telem.metrics.counter(name).value();
+    EXPECT_EQ(counts["fsim.vectors_committed"], res.test_set.size())
+        << threads << " threads";
+    EXPECT_EQ(counts["fsim.faults_dropped"], res.faults_detected)
+        << threads << " threads";
+    return counts;
+  };
+  EXPECT_EQ(run_with(1), run_with(4));
 }
 
 /// Every selection/crossover combination from Table 3 must run end to end.

@@ -290,20 +290,24 @@ TEST(RunControlGen, RestoreRejectsMismatchedCircuit) {
 // Shared scenario: run uninterrupted; run again with an eval budget so the
 // run stops partway and writes a checkpoint; resume from that checkpoint and
 // require the identical final test set, coverage, and evaluation count.
-void check_resume_equivalence(unsigned threads) {
-  Circuit c = make_s27();
-
+void check_resume_equivalence(const Circuit& c, const TestGenConfig& cfg) {
   FaultList full_faults(c);
-  GaTestGenerator full(c, full_faults, small_config(threads));
+  GaTestGenerator full(c, full_faults, cfg);
+  // A pruned run must actually prune, or the pruned resume path goes
+  // untested.
+  if (cfg.prune_proven) {
+    ASSERT_GT(full_faults.num_pruned(), 0u);
+  }
   const TestGenResult uninterrupted = full.run();
   ASSERT_EQ(uninterrupted.stop_reason, StopReason::Completed);
   ASSERT_FALSE(uninterrupted.test_set.empty());
 
   // Stop roughly halfway through the uninterrupted run's evaluation budget.
   const std::string ckpt =
-      temp_path("resume_t" + std::to_string(threads) + ".ckpt");
+      temp_path("resume_" + c.name() + "_t" + std::to_string(cfg.num_threads) +
+                (cfg.prune_proven ? "_pruned" : "") + ".ckpt");
   FaultList part_faults(c);
-  GaTestGenerator part(c, part_faults, small_config(threads));
+  GaTestGenerator part(c, part_faults, cfg);
   RunControl ctrl;
   ctrl.budget.max_evaluations = uninterrupted.fitness_evaluations / 2;
   ctrl.checkpoint_path = ckpt;
@@ -316,7 +320,7 @@ void check_resume_equivalence(unsigned threads) {
   EXPECT_EQ(cp.test_set, stopped.test_set);
 
   FaultList resumed_faults(c);
-  GaTestGenerator resumed(c, resumed_faults, small_config(threads));
+  GaTestGenerator resumed(c, resumed_faults, cfg);
   RunControl resume_ctrl;
   resume_ctrl.checkpoint_path = ckpt;
   resumed.set_run_control(resume_ctrl);
@@ -334,11 +338,20 @@ void check_resume_equivalence(unsigned threads) {
 }
 
 TEST(RunControlGen, ResumeMatchesUninterruptedRunSerial) {
-  check_resume_equivalence(1);
+  check_resume_equivalence(make_s27(), small_config(1));
 }
 
 TEST(RunControlGen, ResumeMatchesUninterruptedRunParallel) {
-  check_resume_equivalence(4);
+  check_resume_equivalence(make_s27(), small_config(4));
+}
+
+TEST(RunControlGen, ResumeMatchesUninterruptedRunParallelPruned) {
+  // Resume replays the test set into the one shared fault list; the
+  // proven-inert faults pruned at construction must stay out of the
+  // universe through that replay, at 4 threads as at 1.
+  TestGenConfig cfg = small_config(4);
+  cfg.prune_proven = true;
+  check_resume_equivalence(benchmark_circuit("s298", 3), cfg);
 }
 
 TEST(RunControlGen, ParallelRunMatchesSerialRun) {

@@ -120,10 +120,16 @@ const char* arg_value(int argc, char** argv, int& i, const char* prog) {
   return argv[++i];
 }
 
-[[noreturn]] void flag_error(const char* flag, const char* expected,
-                             const char* got) {
-  std::fprintf(stderr, "gatest_atpg: %s expects %s, got '%s'\n", flag,
-               expected, got);
+/// One-line diagnostic naming the rejected flag — and, for a bad value,
+/// what it expects — then exit 2.  Without `expected` the flag is unknown.
+[[noreturn]] void flag_error(const char* flag, const char* expected = nullptr,
+                             const char* got = "") {
+  if (expected)
+    std::fprintf(stderr, "gatest_atpg: %s expects %s, got '%s'\n", flag,
+                 expected, got);
+  else
+    std::fprintf(stderr, "gatest_atpg: unknown flag '%s' (see --help)\n",
+                 flag);
   std::exit(2);
 }
 
@@ -172,7 +178,12 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--circuit") circuit_file = arg_value(argc, argv, i, argv[0]);
     else if (a == "--profile") profile = arg_value(argc, argv, i, argv[0]);
-    else if (a == "--engine") engine = arg_value(argc, argv, i, argv[0]);
+    else if (a == "--engine") {
+      engine = arg_value(argc, argv, i, argv[0]);
+      if (engine != "ga" && engine != "random" && engine != "cris" &&
+          engine != "hitec" && engine != "two-pass")
+        flag_error("--engine", "ga|random|cris|hitec|two-pass", engine.c_str());
+    }
     else if (a == "--seed") cfg.seed = parse_uint("--seed", arg_value(argc, argv, i, argv[0]));
     else if (a == "--sample") cfg.fault_sample_size = static_cast<unsigned>(parse_uint("--sample", arg_value(argc, argv, i, argv[0])));
     else if (a == "--threads") cfg.num_threads = static_cast<unsigned>(parse_uint("--threads", arg_value(argc, argv, i, argv[0]), 1));
@@ -205,24 +216,27 @@ int main(int argc, char** argv) {
     else if (a == "--verbose") telemetry::global_logger().set_level(telemetry::LogLevel::Debug);
     else if (a == "--coding") {
       const std::string v = arg_value(argc, argv, i, argv[0]);
-      cfg.sequence_coding = v == "nonbinary" ? Coding::NonBinary : Coding::Binary;
+      if (v == "binary") cfg.sequence_coding = Coding::Binary;
+      else if (v == "nonbinary") cfg.sequence_coding = Coding::NonBinary;
+      else flag_error("--coding", "binary|nonbinary", v.c_str());
     } else if (a == "--selection") {
       const std::string v = arg_value(argc, argv, i, argv[0]);
       if (v == "roulette") cfg.selection = SelectionScheme::RouletteWheel;
       else if (v == "sus") cfg.selection = SelectionScheme::StochasticUniversal;
       else if (v == "tournament") cfg.selection = SelectionScheme::TournamentNoReplacement;
       else if (v == "tournament-r") cfg.selection = SelectionScheme::TournamentWithReplacement;
-      else usage(argv[0], 2);
+      else flag_error("--selection", "roulette|sus|tournament|tournament-r", v.c_str());
     } else if (a == "--crossover") {
       const std::string v = arg_value(argc, argv, i, argv[0]);
       if (v == "1point") cfg.crossover = CrossoverScheme::OnePoint;
       else if (v == "2point") cfg.crossover = CrossoverScheme::TwoPoint;
       else if (v == "uniform") cfg.crossover = CrossoverScheme::Uniform;
-      else usage(argv[0], 2);
+      else flag_error("--crossover", "1point|2point|uniform", v.c_str());
     }
     else if (a == "--model") {
       model = arg_value(argc, argv, i, argv[0]);
-      if (model != "stuck" && model != "transition") usage(argv[0], 2);
+      if (model != "stuck" && model != "transition")
+        flag_error("--model", "stuck|transition", model.c_str());
     }
     else if (a == "--scan") do_scan = true;
     else if (a == "--lint") do_lint = true;
@@ -237,7 +251,7 @@ int main(int argc, char** argv) {
     else if (a == "--vcd") vcd_file = arg_value(argc, argv, i, argv[0]);
     else if (a == "--write-bench") bench_out = arg_value(argc, argv, i, argv[0]);
     else if (a == "--help" || a == "-h") usage(argv[0], 0);
-    else usage(argv[0], 2);
+    else flag_error(argv[i]);
   }
   if (circuit_file.empty() == profile.empty()) usage(argv[0], 2);
 
@@ -398,7 +412,7 @@ int main(int argc, char** argv) {
     result = run_cris_lite(circuit, faults, ccfg);
     std::printf("CRIS-like: %zu detected, %zu vectors, %.2fs\n",
                 result.faults_detected, result.test_set.size(), result.seconds);
-  } else if (engine == "hitec") {
+  } else {  // "hitec"; --engine is validated while parsing
     HitecLiteConfig hcfg;
     const HitecLiteResult det = run_hitec_lite(circuit, faults, hcfg);
     result = det.gen;
@@ -406,8 +420,6 @@ int main(int argc, char** argv) {
                 "untestable-in-window, %.2fs\n",
                 result.faults_detected, result.test_set.size(), det.aborted,
                 det.no_test_in_window, result.seconds);
-  } else {
-    usage(argv[0], 2);
   }
 
   if (do_compact && !result.test_set.empty()) {
