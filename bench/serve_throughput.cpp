@@ -56,7 +56,9 @@ std::vector<JobSpec> mixed_workload(bool full) {
     JobSpec j;
     const std::string& profile = rotation[i % rotation.size()];
     j.seed = 100 + i;
-    j.max_evals = full ? 10000 : 2500;
+    // The check mix's budget keeps its 1-worker run well above 1 s, so that
+    // a brief stall of other processes cannot decide the 4-vs-1 ratio.
+    j.max_evals = full ? 10000 : 7000;
     if (i % 4 == 3) {
       // Inline synthetic netlist matching the profile's shape.
       const Circuit c = generate_circuit(profile_by_name(profile), j.seed);

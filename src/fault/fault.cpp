@@ -215,9 +215,14 @@ std::size_t FaultList::num_undetected() const {
 std::vector<std::uint32_t> FaultList::undetected_indices() const {
   std::vector<std::uint32_t> out;
   out.reserve(faults_.size());
+  undetected_indices(out);
+  return out;
+}
+
+void FaultList::undetected_indices(std::vector<std::uint32_t>& out) const {
+  out.clear();
   for (std::uint32_t i = 0; i < faults_.size(); ++i)
     if (status_[i] == FaultStatus::Undetected) out.push_back(i);
-  return out;
 }
 
 double FaultList::coverage() const {

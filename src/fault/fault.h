@@ -118,6 +118,8 @@ class FaultList {
 
   /// Indices of all currently undetected (and not untestable) faults.
   std::vector<std::uint32_t> undetected_indices() const;
+  /// The same indices, written into `out` (reusing its capacity).
+  void undetected_indices(std::vector<std::uint32_t>& out) const;
 
   /// Fault coverage = detected / total, in [0,1].
   double coverage() const;

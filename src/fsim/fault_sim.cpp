@@ -3,23 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace gatest {
-
-namespace {
-/// Constant nets hold their value from the start: settle loops skip
-/// combinational sources, so an all-X reset would otherwise leave CONST0 /
-/// CONST1 nodes at X forever and every reader would see spurious weak
-/// (X-vs-binary) deviations.
-void seed_const_nets(const Circuit& c, std::vector<Logic>& val) {
-  for (GateId id = 0; id < c.num_gates(); ++id) {
-    const GateType t = c.gate(id).type;
-    if (t == GateType::Const0) val[id] = Logic::Zero;
-    else if (t == GateType::Const1) val[id] = Logic::One;
-  }
-}
-}  // namespace
 
 SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
                                                    FaultList& faults)
@@ -29,33 +14,80 @@ SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
   if (&faults.circuit() != &c)
     throw std::runtime_error(
         "SequentialFaultSimulator: fault list belongs to another circuit");
-  good_val_.assign(c.num_gates(), Logic::X);
-  seed_const_nets(c, good_val_);
-  prev_val_.assign(c.num_gates(), Logic::X);
-  seed_const_nets(c, prev_val_);
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    if (faults.fault(i).model != FaultModel::StuckAt &&
-        faults.fault(i).pin != Fault::kOutputPin)
+
+  std::size_t edges = 0;
+  for (const Gate& g : c.gates()) edges += g.fanins.size();
+  fanins_.reserve(edges);
+  readers_.reserve(edges);
+  comb_order_.reserve(c.num_gates());
+  ff_din_.reserve(c.num_dffs());
+  gates_.resize(c.num_gates());
+  for (GateId id = 0; id < c.num_gates(); ++id) {
+    const Gate& g = c.gate(id);
+    FlatGate& fg = gates_[id];
+    fg.type = g.type;
+    fg.level = g.level;
+    fg.fanin_begin = static_cast<std::uint32_t>(fanins_.size());
+    fg.num_fanins = static_cast<std::uint32_t>(g.fanins.size());
+    fanins_.insert(fanins_.end(), g.fanins.begin(), g.fanins.end());
+    fg.reader_begin = static_cast<std::uint32_t>(readers_.size());
+    for (GateId out : g.fanouts)
+      if (!is_combinational_source(c.gate(out).type)) readers_.push_back(out);
+    fg.num_readers =
+        static_cast<std::uint32_t>(readers_.size()) - fg.reader_begin;
+    // Constant nets hold their value from the start: the settle loops skip
+    // combinational sources, so an all-X reset would otherwise leave them at
+    // X forever and every reader would see spurious (X-vs-binary) deviations.
+    if (g.type == GateType::Const0 || g.type == GateType::Const1)
+      const_nets_.push_back(id);
+  }
+  for (GateId id : c.topo_order())
+    if (!is_combinational_source(gates_[id].type)) comb_order_.push_back(id);
+  ff_ordinal_.assign(c.num_gates(), ~0u);
+  for (std::uint32_t i = 0; i < c.dffs().size(); ++i) {
+    ff_ordinal_[c.dffs()[i]] = i;
+    ff_din_.push_back(c.gate(c.dffs()[i]).fanins[0]);
+  }
+
+  fault_site_.reserve(faults.size());
+  fault_kind_.reserve(faults.size());
+  for (const Fault& f : faults.faults()) {
+    if (f.pin == Fault::kOutputPin) {
+      fault_site_.push_back(f.gate);
+    } else if (f.model != FaultModel::StuckAt) {
       throw std::runtime_error(
           "SequentialFaultSimulator: transition faults are modeled on stems "
           "only");
+    } else {
+      fault_site_.push_back(c.gate(f.gate).fanins[f.pin]);
+    }
+    switch (f.model) {
+      case FaultModel::StuckAt:
+        fault_kind_.push_back(f.stuck ? Injection::Stuck1 : Injection::Stuck0);
+        break;
+      case FaultModel::SlowToRise:
+        fault_kind_.push_back(Injection::SlowToRise);
+        break;
+      case FaultModel::SlowToFall:
+        fault_kind_.push_back(Injection::SlowToFall);
+        break;
+    }
+  }
   diffs_.resize(faults.size());
-  ff_ordinal_.assign(c.num_gates(), ~0u);
-  for (std::uint32_t i = 0; i < c.dffs().size(); ++i)
-    ff_ordinal_[c.dffs()[i]] = i;
-  // Commits use only the settle buffers; the diff and detection arrays
-  // serve evaluations.
-  commit_scratch_.fval_.assign(c.num_gates(), PackedVal{});
-  commit_scratch_.ftouched_.assign(c.num_gates(), 0);
-  commit_scratch_.fqueued_.assign(c.num_gates(), 0);
-  commit_scratch_.flevel_queue_.resize(c.num_levels());
+  good_val_.assign(c.num_gates(), Logic::X);
+  seed_const_nets(good_val_);
+  prev_val_ = good_val_;
+}
+
+void SequentialFaultSimulator::seed_const_nets(std::vector<Logic>& val) const {
+  for (GateId id : const_nets_)
+    val[id] = gates_[id].type == GateType::Const0 ? Logic::Zero : Logic::One;
 }
 
 void SequentialFaultSimulator::reset() {
   good_val_.assign(circuit_->num_gates(), Logic::X);
-  seed_const_nets(*circuit_, good_val_);
-  prev_val_.assign(circuit_->num_gates(), Logic::X);
-  seed_const_nets(*circuit_, prev_val_);
+  seed_const_nets(good_val_);
+  prev_val_ = good_val_;
   for (auto& d : diffs_) d.clear();
   ++state_epoch_;
 }
@@ -104,12 +136,13 @@ SequentialFaultSimulator::diff_of(std::uint32_t fi,
 }
 
 void SequentialFaultSimulator::write_diff(std::uint32_t fi,
-                                          std::vector<FfDiff> d,
+                                          const std::vector<FfDiff>& d,
                                           const EvalContext& ctx) {
+  // Copy-assignment reuses the destination's capacity.
   if (ctx.commit()) {
-    (*ctx.committed_diffs)[fi] = std::move(d);
+    (*ctx.committed_diffs)[fi] = d;
   } else {
-    ctx.s->scratch_diffs_[fi] = std::move(d);
+    ctx.s->scratch_diffs_[fi] = d;
     if (!ctx.s->scratch_dirty_[fi]) {
       ctx.s->scratch_dirty_[fi] = 1;
       ctx.s->scratch_dirty_list_.push_back(fi);
@@ -117,20 +150,32 @@ void SequentialFaultSimulator::write_diff(std::uint32_t fi,
   }
 }
 
+void SequentialFaultSimulator::fit_frame_buffers(FaultSimScratch& s) const {
+  const std::size_t n = gates_.size();
+  if (s.fval_.size() == n && s.ff_mark_.size() == ff_din_.size() &&
+      s.flevel_queue_.size() == circuit_->num_levels())
+    return;
+  s.gval_.assign(n, PackedVal{});
+  s.fval_.assign(n, PackedVal{});
+  s.ftouched_.assign(n, 0);
+  s.fqueued_.assign(n, 0);
+  s.flevel_queue_.assign(circuit_->num_levels(), {});
+  s.inj_flags_.assign(n, 0);
+  s.out_inj_.assign(n, {});
+  s.pin_head_.assign(n, FaultSimScratch::kNoPinInj);
+  s.ff_mark_.assign(ff_din_.size(), 0);
+  s.group_.reserve(kFaultSimLanes);
+  s.new_diffs_.assign(kFaultSimLanes, {});
+}
+
 void SequentialFaultSimulator::prepare(FaultSimScratch& s) const {
   for (std::uint32_t fi : s.scratch_dirty_list_) s.scratch_dirty_[fi] = 0;
   s.scratch_dirty_list_.clear();
   for (std::uint32_t fi : s.eval_detected_list_) s.eval_detected_[fi] = 0;
   s.eval_detected_list_.clear();
-  const Circuit& c = *circuit_;
+  fit_frame_buffers(s);
   const std::size_t nf = faults_->size();
-  if (s.fval_.size() == c.num_gates() && s.scratch_dirty_.size() == nf &&
-      s.flevel_queue_.size() == c.num_levels())
-    return;
-  s.fval_.assign(c.num_gates(), PackedVal{});
-  s.ftouched_.assign(c.num_gates(), 0);
-  s.fqueued_.assign(c.num_gates(), 0);
-  s.flevel_queue_.assign(c.num_levels(), {});
+  if (s.scratch_dirty_.size() == nf) return;
   s.scratch_diffs_.assign(nf, {});
   s.scratch_dirty_.assign(nf, 0);
   s.eval_detected_.assign(nf, 0);
@@ -141,12 +186,13 @@ void SequentialFaultSimulator::prepare(FaultSimScratch& s) const {
 ///   stuck-at:      the stuck constant;
 ///   slow-to-rise:  the line shows 1 only if it was already 1 (AND);
 ///   slow-to-fall:  the line shows 0 only if it was already 0 (OR).
-Logic SequentialFaultSimulator::injected_value(const Fault& f, Logic cur,
-                                               Logic prev) {
-  switch (f.model) {
-    case FaultModel::StuckAt:    return f.stuck ? Logic::One : Logic::Zero;
-    case FaultModel::SlowToRise: return logic_and(cur, prev);
-    case FaultModel::SlowToFall: return logic_or(cur, prev);
+Logic SequentialFaultSimulator::forced_value(Injection kind, Logic cur,
+                                             Logic prev) {
+  switch (kind) {
+    case Injection::Stuck0:     return Logic::Zero;
+    case Injection::Stuck1:     return Logic::One;
+    case Injection::SlowToRise: return logic_and(cur, prev);
+    case Injection::SlowToFall: return logic_or(cur, prev);
   }
   return Logic::X;
 }
@@ -154,26 +200,24 @@ Logic SequentialFaultSimulator::injected_value(const Fault& f, Logic cur,
 bool SequentialFaultSimulator::fault_is_active(std::uint32_t fi,
                                                const EvalContext& ctx) const {
   if (!diff_of(fi, ctx).empty()) return true;
-  const Fault& f = faults_->fault(fi);
-  const GateId site = f.pin == Fault::kOutputPin
-                          ? f.gate
-                          : circuit_->gate(f.gate).fanins[f.pin];
+  const GateId site = fault_site_[fi];
   const Logic good = (*ctx.val)[site];
-  const Logic forced = injected_value(f, good, (*ctx.prev)[site]);
   // No deviation possible when the forced value provably equals the good
   // value; X on either side might deviate, so simulate.
-  return !(is_binary(good) && forced == good);
+  return !(is_binary(good) &&
+           forced_value(fault_kind_[fi], good, (*ctx.prev)[site]) == good);
 }
 
 FaultSimStats SequentialFaultSimulator::apply_vector(const TestVector& v,
                                                      std::int64_t test_index) {
+  fit_frame_buffers(commit_scratch_);
   const EvalContext ctx{.s = &commit_scratch_, .val = &good_val_,
                         .prev = &prev_val_, .committed_diffs = &diffs_,
                         .test_index = test_index};
   ++commit_scratch_.counters_.vectors_committed;
   ++state_epoch_;
-  std::vector<std::uint32_t> active = faults_->undetected_indices();
-  const FaultSimStats stats = simulate_frame(v, active, ctx);
+  faults_->undetected_indices(commit_scratch_.active_);
+  const FaultSimStats stats = simulate_frame(v, ctx);
   commit_scratch_.counters_.faults_dropped += stats.detected;
   return stats;
 }
@@ -210,11 +254,12 @@ void SequentialFaultSimulator::import_fault_status(
 FaultSimStats SequentialFaultSimulator::evaluate_vector(
     const TestVector& v, FaultSimScratch& scratch,
     std::span<const std::uint32_t> fault_subset) const {
-  return evaluate_sequence(TestSequence(1, v), scratch, fault_subset);
+  return evaluate_sequence(std::span<const TestVector>(&v, 1), scratch,
+                           fault_subset);
 }
 
 FaultSimStats SequentialFaultSimulator::evaluate_sequence(
-    const TestSequence& seq, FaultSimScratch& scratch,
+    std::span<const TestVector> seq, FaultSimScratch& scratch,
     std::span<const std::uint32_t> fault_subset) const {
   ++scratch.counters_.candidate_evaluations;
   prepare(scratch);
@@ -223,18 +268,18 @@ FaultSimStats SequentialFaultSimulator::evaluate_sequence(
   EvalContext ctx{.s = &scratch, .val = &scratch.eval_val_,
                   .prev = &scratch.eval_prev_val_};
 
-  std::vector<std::uint32_t> active;
+  std::vector<std::uint32_t>& active = scratch.active_;
   if (fault_subset.empty()) {
-    active = faults_->undetected_indices();
+    faults_->undetected_indices(active);
   } else {
     ctx.full_universe = false;
-    active.reserve(fault_subset.size());
+    active.clear();
     for (std::uint32_t fi : fault_subset)
       if (faults_->status(fi) == FaultStatus::Undetected) active.push_back(fi);
   }
 
   FaultSimStats total;
-  for (const TestVector& v : seq) total.accumulate(simulate_frame(v, active, ctx));
+  for (const TestVector& v : seq) total.accumulate(simulate_frame(v, ctx));
   return total;
 }
 
@@ -244,6 +289,7 @@ FaultSimStats SequentialFaultSimulator::evaluate_vector_good_only(
     throw std::runtime_error("evaluate_vector_good_only: wrong input count");
   ++scratch.counters_.candidate_evaluations;
   ++scratch.counters_.frames_simulated;
+  fit_frame_buffers(scratch);
   scratch.eval_val_ = good_val_;
   const EvalContext ctx{.s = &scratch, .val = &scratch.eval_val_};
   FaultSimStats stats;
@@ -253,8 +299,7 @@ FaultSimStats SequentialFaultSimulator::evaluate_vector_good_only(
 }
 
 FaultSimStats SequentialFaultSimulator::simulate_frame(
-    const TestVector& v, std::vector<std::uint32_t>& active,
-    const EvalContext& ctx) const {
+    const TestVector& v, const EvalContext& ctx) const {
   if (v.size() != circuit_->num_inputs())
     throw std::runtime_error("simulate_frame: wrong input count");
   FaultSimStats stats;
@@ -262,10 +307,10 @@ FaultSimStats SequentialFaultSimulator::simulate_frame(
   // observable, so counting them keeps every fitness denominator — and hence
   // the GA trajectory — bit-identical with pruning on or off.
   stats.faults_simulated =
-      static_cast<unsigned>(active.size()) +
+      static_cast<unsigned>(ctx.s->active_.size()) +
       (ctx.full_universe ? static_cast<unsigned>(faults_->num_pruned()) : 0u);
   settle_good(v, ctx, stats);
-  simulate_fault_groups(active, ctx, stats);
+  simulate_fault_groups(ctx, stats);
   // Keep this frame's pre-latch values as the next frame's transition-fault
   // launch reference (flip-flop entries = the state seen DURING this frame,
   // so clock-edge transitions on flop outputs count as transitions).
@@ -282,20 +327,27 @@ void SequentialFaultSimulator::settle_good(const TestVector& v,
                                            FaultSimStats& stats) const {
   const Circuit& c = *circuit_;
   std::vector<Logic>& val = *ctx.val;
+  std::vector<PackedVal>& gval = ctx.s->gval_;
   const auto& inputs = c.inputs();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (val[inputs[i]] != v[i]) ++stats.good_events;
     val[inputs[i]] = v[i];
+    gval[inputs[i]] = PackedVal::broadcast(v[i]);
   }
-  for (GateId id : c.topo_order()) {
-    const Gate& g = c.gate(id);
-    if (is_combinational_source(g.type)) continue;
-    const Logic nv = eval_logic_gate(
-        g.type, g.fanins.size(),
-        [&](std::size_t i) { return val[g.fanins[i]]; });
-    if (val[id] != nv) {
+  for (GateId ff : c.dffs()) gval[ff] = PackedVal::broadcast(val[ff]);
+  for (GateId id : const_nets_) gval[id] = PackedVal::broadcast(val[id]);
+  // Every lane of a broadcast word evaluates the same scalar gate, so lane 0
+  // of the result is the scalar value.
+  for (GateId id : comb_order_) {
+    const FlatGate& g = gates_[id];
+    const GateId* in = fanins_.data() + g.fanin_begin;
+    const PackedVal nv = eval_packed_gate(
+        g.type, g.num_fanins, [&](std::size_t i) { return gval[in[i]]; });
+    gval[id] = nv;
+    const Logic lv = nv.lane(0);
+    if (val[id] != lv) {
       ++stats.good_events;
-      val[id] = nv;
+      val[id] = lv;
     }
   }
 }
@@ -306,7 +358,7 @@ void SequentialFaultSimulator::latch_good(const EvalContext& ctx,
   std::vector<Logic>& val = *ctx.val;
   std::vector<Logic>& next_state = ctx.s->latch_scratch_;
   next_state.clear();
-  for (GateId ff : c.dffs()) next_state.push_back(val[c.gate(ff).fanins[0]]);
+  for (GateId din : ff_din_) next_state.push_back(val[din]);
   for (std::size_t i = 0; i < c.dffs().size(); ++i) {
     const GateId ff = c.dffs()[i];
     const Logic next = next_state[i];
@@ -320,225 +372,217 @@ void SequentialFaultSimulator::latch_good(const EvalContext& ctx,
 }
 
 void SequentialFaultSimulator::simulate_fault_groups(
-    std::vector<std::uint32_t>& active, const EvalContext& ctx,
-    FaultSimStats& stats) const {
-  const Circuit& c = *circuit_;
-  const std::vector<Logic>& val = *ctx.val;  // settled good frame, pre-latch
-  FaultSimScratch& s = *ctx.s;  // this frame's working storage
+    const EvalContext& ctx, FaultSimStats& stats) const {
+  FaultSimScratch& s = *ctx.s;
+  const auto dropped = [&](std::uint32_t fi) {
+    return ctx.commit() ? faults_->status(fi) != FaultStatus::Undetected
+                        : s.eval_detected_[fi] != 0;
+  };
+
+  // Every group starts from the good frame.
+  std::copy(s.gval_.begin(), s.gval_.end(), s.fval_.begin());
 
   // Partition active faults into groups of kFaultSimLanes, skipping faults
   // that cannot deviate this frame (PROOFS' activity check).
-  std::vector<std::uint32_t> group;
-  group.reserve(kFaultSimLanes);
-  std::vector<std::uint32_t> detected_now;
+  std::uint64_t detected = 0;
+  for (std::uint32_t fi : s.active_) {
+    if (dropped(fi) || !fault_is_active(fi, ctx)) continue;
+    s.group_.push_back(fi);
+    if (s.group_.size() == kFaultSimLanes) {
+      detected |= settle_group(ctx, stats);
+      s.group_.clear();
+    }
+  }
+  if (!s.group_.empty()) {
+    detected |= settle_group(ctx, stats);
+    s.group_.clear();
+  }
 
-  // Injections for the current group.  Transition faults may force X (an
-  // uncertain late transition), so three masks are needed.
-  struct OutInj { std::uint64_t force0 = 0, force1 = 0, forceX = 0; };
-  std::unordered_map<GateId, OutInj> out_inj;
-  struct PinInj { std::int16_t pin; std::uint8_t lane; std::uint8_t stuck; };
-  std::unordered_map<GateId, std::vector<PinInj>> pin_inj;
-  std::vector<std::uint32_t> dff_pin_ords;  // FF ordinals with faulted D pins
+  // Drop newly detected faults from the active list so later frames of a
+  // sequence skip them.
+  if (detected) std::erase_if(s.active_, dropped);
+}
 
-  auto fv = [&](GateId g) -> PackedVal {
-    return s.ftouched_[g] ? s.fval_[g] : PackedVal::broadcast(val[g]);
-  };
+std::uint64_t SequentialFaultSimulator::settle_group(
+    const EvalContext& ctx, FaultSimStats& stats) const {
+  const Circuit& c = *circuit_;
+  const std::vector<Logic>& val = *ctx.val;  // settled good frame, pre-latch
+  const std::vector<Logic>& prev = *ctx.prev;
+  FaultSimScratch& s = *ctx.s;
+  const std::vector<std::uint32_t>& group = s.group_;
+  constexpr std::uint8_t kOut = FaultSimScratch::kOutInjFlag;
+  constexpr std::uint8_t kPin = FaultSimScratch::kPinInjFlag;
+  ++s.counters_.fault_groups;
+  s.counters_.fault_group_lanes += group.size();
+
+  // Faulty value of a net: equal to the good word until a faulty machine
+  // touches it.
+  auto fv = [&](GateId g) { return s.fval_[g]; };
 
   auto schedule = [&](GateId g) {
     if (s.fqueued_[g]) return;
     s.fqueued_[g] = 1;
-    s.flevel_queue_[c.gate(g).level].push_back(g);
+    s.flevel_queue_[gates_[g].level].push_back(g);
   };
 
   auto touch_write = [&](GateId g, PackedVal nv, bool count) {
-    const PackedVal old = fv(g);
-    const std::uint64_t changed = old.mismatch(nv);
+    const std::uint64_t changed = fv(g).mismatch(nv);
     if (!changed) return;
     if (count)
       stats.faulty_events += static_cast<std::uint64_t>(std::popcount(changed));
     s.fval_[g] = nv;
-    s.ftouched_[g] = 1;
-    s.touched_list_.push_back(g);
-    for (GateId out : c.gate(g).fanouts)
-      if (!is_combinational_source(c.gate(out).type)) schedule(out);
+    if (!s.ftouched_[g]) {
+      s.ftouched_[g] = 1;
+      s.touched_list_.push_back(g);
+    }
+    const FlatGate& fg = gates_[g];
+    for (std::uint32_t k = 0; k < fg.num_readers; ++k)
+      schedule(readers_[fg.reader_begin + k]);
   };
 
-  auto run_group = [&]() {
-    ++s.counters_.fault_groups;
-    s.counters_.fault_group_lanes += group.size();
-    // 1. Seed faulty machines: state diffs, then injections.
-    for (unsigned lane = 0; lane < group.size(); ++lane) {
-      const std::uint32_t fi = group[lane];
-      for (const FfDiff& d : diff_of(fi, ctx)) {
-        const GateId ffnode = c.dffs()[d.first];
-        PackedVal pv = fv(ffnode);
-        pv.set_lane(lane, d.second);
-        touch_write(ffnode, pv, /*count=*/false);
-      }
+  auto mark_injected = [&](GateId g, std::uint8_t flag) {
+    if (!s.inj_flags_[g]) s.inj_gates_.push_back(g);
+    s.inj_flags_[g] |= flag;
+  };
+
+  // `pv`, the value input `pin` of gate g reads, with this group's stuck
+  // lanes on that pin forced (only for gates whose kPin flag is set).
+  auto inject_pins = [&](GateId g, std::size_t pin, PackedVal pv) {
+    for (std::uint32_t k = s.pin_head_[g]; k != FaultSimScratch::kNoPinInj;
+         k = s.pin_inj_[k].next) {
+      const FaultSimScratch::PinInj& pj = s.pin_inj_[k];
+      if (static_cast<std::size_t>(pj.pin) == pin)
+        pv.set_lane(pj.lane, pj.stuck ? Logic::One : Logic::Zero);
     }
-    for (unsigned lane = 0; lane < group.size(); ++lane) {
-      const std::uint32_t fi = group[lane];
-      const Fault& f = faults_->fault(fi);
-      if (f.pin == Fault::kOutputPin) {
-        const Logic forced =
-            injected_value(f, val[f.gate], (*ctx.prev)[f.gate]);
-        OutInj& oi = out_inj[f.gate];
-        switch (forced) {
-          case Logic::Zero: oi.force0 |= 1ull << lane; break;
-          case Logic::One:  oi.force1 |= 1ull << lane; break;
-          case Logic::X:    oi.forceX |= 1ull << lane; break;
-        }
-        PackedVal pv = fv(f.gate);
-        pv.set_lane(lane, forced);
-        touch_write(f.gate, pv, /*count=*/false);
-      } else if (c.gate(f.gate).type == GateType::Dff) {
-        // Stuck data pin of a flip-flop: acts at the latch only.
-        pin_inj[f.gate].push_back(
-            PinInj{f.pin, static_cast<std::uint8_t>(lane), f.stuck});
-        dff_pin_ords.push_back(ff_ordinal_[f.gate]);
-      } else {
-        pin_inj[f.gate].push_back(
-            PinInj{f.pin, static_cast<std::uint8_t>(lane), f.stuck});
+    return pv;
+  };
+
+  // 1. Seed faulty machines: state diffs, then injections.  Flip-flops in a
+  //    member's diff are capture candidates, so stale diffs get cleared.
+  for (unsigned lane = 0; lane < group.size(); ++lane) {
+    for (const FfDiff& d : diff_of(group[lane], ctx)) {
+      const GateId ffnode = c.dffs()[d.first];
+      PackedVal pv = fv(ffnode);
+      pv.set_lane(lane, d.second);
+      touch_write(ffnode, pv, /*count=*/false);
+      s.ff_mark_[d.first] = 1;
+    }
+  }
+  for (unsigned lane = 0; lane < group.size(); ++lane) {
+    const std::uint32_t fi = group[lane];
+    const Fault& f = faults_->fault(fi);
+    if (f.pin == Fault::kOutputPin) {
+      const Logic forced =
+          forced_value(fault_kind_[fi], val[f.gate], prev[f.gate]);
+      if (!(s.inj_flags_[f.gate] & kOut)) s.out_inj_[f.gate] = {};
+      mark_injected(f.gate, kOut);
+      FaultSimScratch::OutInj& oi = s.out_inj_[f.gate];
+      switch (forced) {
+        case Logic::Zero: oi.force0 |= 1ull << lane; break;
+        case Logic::One:  oi.force1 |= 1ull << lane; break;
+        case Logic::X:    oi.forceX |= 1ull << lane; break;
+      }
+      PackedVal pv = fv(f.gate);
+      pv.set_lane(lane, forced);
+      touch_write(f.gate, pv, /*count=*/false);
+    } else {
+      const std::uint32_t next = (s.inj_flags_[f.gate] & kPin)
+                                     ? s.pin_head_[f.gate]
+                                     : FaultSimScratch::kNoPinInj;
+      s.pin_head_[f.gate] = static_cast<std::uint32_t>(s.pin_inj_.size());
+      s.pin_inj_.push_back({f.pin, static_cast<std::uint8_t>(lane), f.stuck,
+                            next});
+      mark_injected(f.gate, kPin);
+      // A flip-flop's stuck data pin acts at the latch only.
+      if (gates_[f.gate].type == GateType::Dff)
+        s.ff_mark_[ff_ordinal_[f.gate]] = 1;
+      else
         schedule(f.gate);
-      }
-    }
-
-    // 2. Event-driven settle by level.
-    for (std::size_t lvl = 0; lvl < s.flevel_queue_.size(); ++lvl) {
-      auto& q = s.flevel_queue_[lvl];
-      for (std::size_t qi = 0; qi < q.size(); ++qi) {
-        const GateId id = q[qi];
-        s.fqueued_[id] = 0;
-        const Gate& g = c.gate(id);
-        const auto pit = pin_inj.find(id);
-        PackedVal nv = eval_packed_gate(
-            g.type, g.fanins.size(), [&](std::size_t i) {
-              PackedVal pv = fv(g.fanins[i]);
-              if (pit != pin_inj.end())
-                for (const PinInj& pj : pit->second)
-                  if (static_cast<std::size_t>(pj.pin) == i)
-                    pv.set_lane(pj.lane,
-                                pj.stuck ? Logic::One : Logic::Zero);
-              return pv;
-            });
-        const auto oit = out_inj.find(id);
-        if (oit != out_inj.end()) {
-          const OutInj& oi = oit->second;
-          nv.zero = (nv.zero & ~(oi.force1 | oi.forceX)) | oi.force0;
-          nv.one = (nv.one & ~(oi.force0 | oi.forceX)) | oi.force1;
-        }
-        touch_write(id, nv, /*count=*/true);
-      }
-      q.clear();
-    }
-
-    // 3. Detection at primary outputs (definite binary differences only).
-    std::uint64_t det_mask = 0;
-    for (GateId po : c.outputs()) {
-      if (!s.ftouched_[po]) continue;
-      det_mask |= s.fval_[po].diff(PackedVal::broadcast(val[po]));
-    }
-
-    for (unsigned lane = 0; lane < group.size(); ++lane) {
-      if (!(det_mask & (1ull << lane))) continue;
-      const std::uint32_t fi = group[lane];
-      ++stats.detected;
-      detected_now.push_back(fi);
-      if (ctx.commit()) {
-        faults_->mark_detected(fi, ctx.test_index);
-        (*ctx.committed_diffs)[fi].clear();
-      } else if (!s.eval_detected_[fi]) {
-        s.eval_detected_[fi] = 1;
-        s.eval_detected_list_.push_back(fi);
-      }
-    }
-
-    // 4. Capture faulty next-states at flip-flops; update diff lists and
-    //    count definite fault effects at flip-flops.
-    //    Candidate flip-flops: those whose data cone was touched, those in
-    //    any member's old diff (so stale diffs get cleared), and those with
-    //    a faulted data pin.
-    std::vector<std::uint32_t> cand;
-    for (std::uint32_t ord = 0; ord < c.dffs().size(); ++ord)
-      if (s.ftouched_[c.gate(c.dffs()[ord]).fanins[0]]) cand.push_back(ord);
-    for (unsigned lane = 0; lane < group.size(); ++lane)
-      for (const FfDiff& d : diff_of(group[lane], ctx))
-        cand.push_back(d.first);
-    for (std::uint32_t ord : dff_pin_ords) cand.push_back(ord);
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-
-    // New diff lists assembled per member.
-    std::vector<std::vector<FfDiff>> new_diffs(group.size());
-    for (std::uint32_t ord : cand) {
-      const GateId ffnode = c.dffs()[ord];
-      const GateId din = c.gate(ffnode).fanins[0];
-      PackedVal next = fv(din);
-      const auto pit = pin_inj.find(ffnode);
-      if (pit != pin_inj.end())
-        for (const PinInj& pj : pit->second)
-          next.set_lane(pj.lane, pj.stuck ? Logic::One : Logic::Zero);
-      const Logic good_next = val[din];
-      const PackedVal goodb = PackedVal::broadcast(good_next);
-      const std::uint64_t mism = next.mismatch(goodb);
-      if (!mism) continue;
-      const std::uint64_t strong = next.diff(goodb);
-      for (unsigned lane = 0; lane < group.size(); ++lane) {
-        const std::uint64_t m = 1ull << lane;
-        if (!(mism & m)) continue;
-        const bool detected_lane =
-            (ctx.commit() &&
-             faults_->status(group[lane]) == FaultStatus::Detected) ||
-            (!ctx.commit() && s.eval_detected_[group[lane]]);
-        if (detected_lane) continue;  // fault dropped: state irrelevant
-        new_diffs[lane].emplace_back(ord, next.lane(lane));
-        if (strong & m) ++stats.fault_effects_at_ffs;
-      }
-    }
-    for (unsigned lane = 0; lane < group.size(); ++lane) {
-      const std::uint32_t fi = group[lane];
-      const bool detected_lane =
-          (ctx.commit() && faults_->status(fi) == FaultStatus::Detected) ||
-          (!ctx.commit() && s.eval_detected_[fi]);
-      if (detected_lane) continue;
-      // Write even when empty: a previously-diverged machine may have
-      // re-converged to the good machine.
-      if (!diff_of(fi, ctx).empty() || !new_diffs[lane].empty())
-        write_diff(fi, std::move(new_diffs[lane]), ctx);
-    }
-
-    // 5. Reset scratch for the next group.
-    for (GateId g : s.touched_list_) s.ftouched_[g] = 0;
-    s.touched_list_.clear();
-    out_inj.clear();
-    pin_inj.clear();
-    dff_pin_ords.clear();
-  };
-
-  for (std::uint32_t fi : active) {
-    if (ctx.commit() && faults_->status(fi) != FaultStatus::Undetected)
-      continue;
-    if (!ctx.commit() && s.eval_detected_[fi]) continue;
-    if (!fault_is_active(fi, ctx)) continue;
-    group.push_back(fi);
-    if (group.size() == kFaultSimLanes) {
-      run_group();
-      group.clear();
     }
   }
-  if (!group.empty()) {
-    run_group();
-    group.clear();
+
+  // 2. Event-driven settle by level.
+  for (std::vector<GateId>& q : s.flevel_queue_) {
+    for (std::size_t qi = 0; qi < q.size(); ++qi) {
+      const GateId id = q[qi];
+      s.fqueued_[id] = 0;
+      const FlatGate& g = gates_[id];
+      const GateId* in = fanins_.data() + g.fanin_begin;
+      const std::uint8_t flags = s.inj_flags_[id];
+      PackedVal nv =
+          (flags & kPin)
+              ? eval_packed_gate(g.type, g.num_fanins,
+                                 [&](std::size_t i) {
+                                   return inject_pins(id, i, fv(in[i]));
+                                 })
+              : eval_packed_gate(g.type, g.num_fanins,
+                                 [&](std::size_t i) { return fv(in[i]); });
+      if (flags & kOut) {
+        const FaultSimScratch::OutInj& oi = s.out_inj_[id];
+        nv.zero = (nv.zero & ~(oi.force1 | oi.forceX)) | oi.force0;
+        nv.one = (nv.one & ~(oi.force0 | oi.forceX)) | oi.force1;
+      }
+      touch_write(id, nv, /*count=*/true);
+    }
+    q.clear();
   }
 
-  // Drop newly detected faults from the caller's active list so later frames
-  // of a sequence skip them.
-  if (!detected_now.empty()) {
-    std::sort(detected_now.begin(), detected_now.end());
-    std::erase_if(active, [&](std::uint32_t fi) {
-      return std::binary_search(detected_now.begin(), detected_now.end(), fi);
-    });
+  // 3. Detection at primary outputs (definite binary differences only).
+  std::uint64_t det_mask = 0;
+  for (GateId po : c.outputs()) det_mask |= s.fval_[po].diff(s.gval_[po]);
+
+  for (unsigned lane = 0; lane < group.size(); ++lane) {
+    if (!(det_mask & (1ull << lane))) continue;
+    const std::uint32_t fi = group[lane];
+    ++stats.detected;
+    if (ctx.commit()) {
+      faults_->mark_detected(fi, ctx.test_index);
+      (*ctx.committed_diffs)[fi].clear();
+    } else if (!s.eval_detected_[fi]) {
+      s.eval_detected_[fi] = 1;
+      s.eval_detected_list_.push_back(fi);
+    }
   }
+
+  // 4. Capture faulty next-states at flip-flops, in ordinal order, and count
+  //    definite fault effects there.  Candidates: flip-flops whose data cone
+  //    was touched, and those marked in step 1.  Detected lanes are dropped:
+  //    their state no longer matters.
+  for (std::uint32_t ord = 0; ord < ff_din_.size(); ++ord) {
+    const GateId din = ff_din_[ord];
+    if (!s.ff_mark_[ord] && !s.ftouched_[din]) continue;
+    s.ff_mark_[ord] = 0;
+    const GateId ffnode = c.dffs()[ord];
+    PackedVal next = fv(din);
+    if (s.inj_flags_[ffnode] & kPin) next = inject_pins(ffnode, 0, next);
+    const PackedVal good = s.gval_[din];
+    const std::uint64_t strong = next.diff(good);
+    for (std::uint64_t m = next.mismatch(good) & ~det_mask; m; m &= m - 1) {
+      const unsigned lane = static_cast<unsigned>(std::countr_zero(m));
+      s.new_diffs_[lane].emplace_back(ord, next.lane(lane));
+      if (strong & (1ull << lane)) ++stats.fault_effects_at_ffs;
+    }
+  }
+  for (unsigned lane = 0; lane < group.size(); ++lane) {
+    if (det_mask & (1ull << lane)) continue;
+    const std::uint32_t fi = group[lane];
+    std::vector<FfDiff>& nd = s.new_diffs_[lane];
+    // Write even when empty: a previously-diverged machine may have
+    // re-converged to the good machine.
+    if (!diff_of(fi, ctx).empty() || !nd.empty()) write_diff(fi, nd, ctx);
+    nd.clear();
+  }
+
+  // 5. Reset scratch for the next group.
+  for (GateId g : s.touched_list_) {
+    s.ftouched_[g] = 0;
+    s.fval_[g] = s.gval_[g];
+  }
+  s.touched_list_.clear();
+  for (GateId g : s.inj_gates_) s.inj_flags_[g] = 0;
+  s.inj_gates_.clear();
+  s.pin_inj_.clear();
+  return det_mask;
 }
 
 }  // namespace gatest

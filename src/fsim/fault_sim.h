@@ -13,6 +13,12 @@
 // the (typical) fault whose machine re-converged to the good machine costs
 // nothing.  Detected faults are dropped.
 //
+// Both machines run on one gate evaluator, eval_packed_gate: the good machine
+// as words whose 64 lanes agree, which every faulty lane starts from.  A
+// group's fault injections live in flat per-gate tables and every working
+// buffer in a FaultSimScratch that keeps its capacity, so a warm candidate
+// evaluation allocates nothing and hashes nothing.
+//
 // Fault models: classic single stuck-at faults plus gross-delay transition
 // faults (slow-to-rise/slow-to-fall, modeled as conditional stuck-at — the
 // faulty line holds its previous fault-free value through a missed edge;
@@ -109,7 +115,10 @@ struct FsimCounters {
 
 /// Caller-owned working storage for candidate evaluation: everything an
 /// evaluate_* call writes, plus the counters of that work.  The simulator
-/// sizes it on first use; one scratch serves one thread at a time.
+/// sizes it on first use; one scratch serves one thread at a time.  Every
+/// buffer keeps its capacity between calls, so a warm evaluation allocates
+/// nothing.  The commit path keeps its own, sized on the first commit, and
+/// leaves the evaluation-only arrays at the end empty.
 class FaultSimScratch {
  public:
   const FsimCounters& counters() const { return counters_; }
@@ -118,12 +127,54 @@ class FaultSimScratch {
   friend class SequentialFaultSimulator;
   using FfDiff = std::pair<std::uint32_t, Logic>;  // (ff ordinal, faulty val)
 
-  // Event-driven fault-group settling.
+  /// Output-stem injections of one group, as lane masks.  Transition faults
+  /// may force X (an uncertain late transition), so three masks are needed.
+  struct OutInj {
+    std::uint64_t force0 = 0, force1 = 0, forceX = 0;
+  };
+  /// One input-pin injection (stuck-at only), chained per gate through
+  /// `next` (an index into pin_inj_, or kNoPinInj).
+  struct PinInj {
+    std::int16_t pin;
+    std::uint8_t lane;
+    std::uint8_t stuck;
+    std::uint32_t next;
+  };
+  static constexpr std::uint32_t kNoPinInj = ~0u;
+  static constexpr std::uint8_t kOutInjFlag = 1, kPinInjFlag = 2;
+
+  // Good machine of one frame: the scalar values (eval_val_/eval_prev_val_
+  // hold the evaluated copy of the committed state) and gval_, the same
+  // values as words whose 64 lanes agree, which the good sweep computes and
+  // every fault group starts from.
+  std::vector<Logic> eval_val_;
+  std::vector<Logic> eval_prev_val_;
+  std::vector<Logic> latch_scratch_;
+  std::vector<PackedVal> gval_;
+
+  // Event-driven fault-group settling.  fval_ holds the group's faulty
+  // words: gval_ except on the touched gates, which the group restores.
   std::vector<PackedVal> fval_;
   std::vector<std::uint8_t> ftouched_;
   std::vector<GateId> touched_list_;
   std::vector<std::vector<GateId>> flevel_queue_;
   std::vector<std::uint8_t> fqueued_;
+
+  // Injection tables of one group, indexed by gate: inj_flags_ says which of
+  // out_inj_ / pin_head_ hold this group's entries.  Reset through
+  // inj_gates_, so stale entries are never read.
+  std::vector<std::uint8_t> inj_flags_;
+  std::vector<OutInj> out_inj_;
+  std::vector<std::uint32_t> pin_head_;
+  std::vector<PinInj> pin_inj_;
+  std::vector<GateId> inj_gates_;
+
+  // Faults of one frame (active_), of one group (group_), and flip-flops
+  // to capture for the group, marked per ordinal (ff_mark_).
+  std::vector<std::uint32_t> active_;
+  std::vector<std::uint32_t> group_;
+  std::vector<std::uint8_t> ff_mark_;
+  std::vector<std::vector<FfDiff>> new_diffs_;  // per lane, this group
 
   // Copy-on-write faulty-state diffs and detections of one evaluation.
   std::vector<std::vector<FfDiff>> scratch_diffs_;
@@ -131,11 +182,6 @@ class FaultSimScratch {
   std::vector<std::uint32_t> scratch_dirty_list_;
   std::vector<std::uint8_t> eval_detected_;
   std::vector<std::uint32_t> eval_detected_list_;
-
-  // Good machine of one evaluation.
-  std::vector<Logic> eval_val_;
-  std::vector<Logic> eval_prev_val_;
-  std::vector<Logic> latch_scratch_;
 
   FsimCounters counters_;
 };
@@ -202,7 +248,7 @@ class SequentialFaultSimulator {
   /// Fitness-evaluate a candidate sequence (faulty state evolves in the
   /// scratch across the frames; committed state is untouched).
   FaultSimStats evaluate_sequence(
-      const TestSequence& seq, FaultSimScratch& scratch,
+      std::span<const TestVector> seq, FaultSimScratch& scratch,
       std::span<const std::uint32_t> fault_subset = {}) const;
 
   /// Fault-free-machine-only evaluation (GATEST phase 1 needs just the
@@ -261,35 +307,60 @@ class SequentialFaultSimulator {
     bool commit() const { return committed_diffs != nullptr; }
   };
 
-  /// Simulate one frame: good machine, then all faults in `active`
+  /// One node as the two sweeps read it: the netlist's type, level and
+  /// fanins, and its readers minus frame sources (flip-flops and inputs
+  /// never re-evaluate within a frame).
+  struct FlatGate {
+    GateType type = GateType::Buf;
+    std::uint32_t level = 0;
+    std::uint32_t fanin_begin = 0, num_fanins = 0;    // into fanins_
+    std::uint32_t reader_begin = 0, num_readers = 0;  // into readers_
+  };
+
+  /// What a fault forces on its line: a stuck constant, or a transition
+  /// fault's held previous value.
+  enum class Injection : std::uint8_t {
+    Stuck0,
+    Stuck1,
+    SlowToRise,
+    SlowToFall,
+  };
+
+  /// Simulate one frame: good machine, then every fault in ctx.s->active_
   /// (already filtered to undetected; newly detected faults are removed).
   FaultSimStats simulate_frame(const TestVector& v,
-                               std::vector<std::uint32_t>& active,
                                const EvalContext& ctx) const;
 
   void settle_good(const TestVector& v, const EvalContext& ctx,
                    FaultSimStats& stats) const;
   void latch_good(const EvalContext& ctx, FaultSimStats& stats) const;
 
-  /// The faulty-machine kernel: settle every fault in `active` against the
-  /// good frame in *ctx.val, record detections/fault-effects/faulty-events
-  /// into `stats`, update the per-fault diff lists, and erase newly detected
-  /// faults from `active`.
-  void simulate_fault_groups(std::vector<std::uint32_t>& active,
-                             const EvalContext& ctx,
+  /// The faulty-machine kernel: settle every fault in ctx.s->active_
+  /// against the good frame in *ctx.val, record detections/fault-effects/
+  /// faulty-events into `stats`, update the per-fault diff lists, and erase
+  /// newly detected faults from the active list.
+  void simulate_fault_groups(const EvalContext& ctx,
+                             FaultSimStats& stats) const;
+  /// Settle the faults in ctx.s->group_ (one per lane); returns the lanes
+  /// detected at a primary output.
+  std::uint64_t settle_group(const EvalContext& ctx,
                              FaultSimStats& stats) const;
 
   const std::vector<FfDiff>& diff_of(std::uint32_t fi,
                                      const EvalContext& ctx) const;
-  static void write_diff(std::uint32_t fi, std::vector<FfDiff> d,
+  static void write_diff(std::uint32_t fi, const std::vector<FfDiff>& d,
                          const EvalContext& ctx);
+  /// Size the gate- and flip-flop-indexed buffers of `s` for this circuit
+  /// if they do not fit (commits and evaluations both need them).
+  void fit_frame_buffers(FaultSimScratch& s) const;
   /// Ready `s` for an evaluation: clear the last one's diffs and detection
   /// flags, and size `s` for this circuit and fault list if it does not fit.
   void prepare(FaultSimScratch& s) const;
+  void seed_const_nets(std::vector<Logic>& val) const;
 
   /// Value the faulty machine sees on the faulted line this frame, given the
   /// fault-free current and previous-frame values of that line.
-  static Logic injected_value(const Fault& f, Logic cur, Logic prev);
+  static Logic forced_value(Injection kind, Logic cur, Logic prev);
 
   /// True if the fault can deviate this frame: nonempty state diff or an
   /// injection whose forced value may differ from the good value.
@@ -303,8 +374,19 @@ class SequentialFaultSimulator {
   std::vector<Logic> prev_val_;                 // pre-latch values, last frame
   std::vector<std::vector<FfDiff>> diffs_;      // per fault
 
-  // Pre-computed per-FF ordinal of each DFF node.
+  // Flat, read-only views of the circuit and fault list, built once.
+  std::vector<FlatGate> gates_;                 // per gate
+  std::vector<GateId> fanins_;
+  std::vector<GateId> readers_;
+  std::vector<GateId> comb_order_;              // topo order minus sources
+  std::vector<GateId> const_nets_;
+  std::vector<GateId> ff_din_;                  // FF ordinal -> data input
   std::vector<std::uint32_t> ff_ordinal_;       // gate id -> ordinal or ~0
+  // Per fault, for the activity check: the net whose good value the faulted
+  // line carries (the driver, for an input-pin fault) and what it forces.
+  std::vector<GateId> fault_site_;
+  std::vector<Injection> fault_kind_;
+
   FaultSimScratch commit_scratch_;              // commit path's scratch
 
   std::uint64_t state_epoch_ = 0;

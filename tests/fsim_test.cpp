@@ -943,6 +943,60 @@ INSTANTIATE_TEST_SUITE_P(
     DeepCircuit, FsimEquivalenceTest,
     ::testing::Combine(::testing::Values("s526"), ::testing::Values(1)));
 
+// ---- uncollapsed universe: every injection path -------------------------------
+//
+// Collapsed lists seldom put several output and pin injections on one gate
+// in one group, or a flip-flop's D-pin fault beside its other faults; the
+// full universe does.  Each frame scores a random 1-3 vector probe with
+// evaluate_sequence against the reference run on a copy, then commits one
+// vector to both and compares the frame's observables.
+
+class FsimUncollapsedTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FsimUncollapsedTest, EvaluateAndApplyMatchReference) {
+  const Circuit c = benchmark_circuit(GetParam());
+  FaultList fl(c, enumerate_all_faults(c));
+  ASSERT_TRUE(std::any_of(fl.faults().begin(), fl.faults().end(),
+                          [](const Fault& f) {
+                            return f.pin != Fault::kOutputPin;
+                          }))
+      << "no pin faults in the universe";
+  SequentialFaultSimulator sim(c, fl);
+  FaultSimScratch scratch;
+  ReferenceFaultSim ref(c, fl.faults());
+
+  Rng rng(4099);
+  for (int t = 0; t < 30; ++t) {
+    const std::string where =
+        std::string(GetParam()) + " frame " + std::to_string(t);
+    TestSequence probe(1 + rng.below(3));
+    for (TestVector& pv : probe) pv = random_vector(c, rng);
+    ReferenceFaultSim probe_ref = ref;
+    std::size_t probe_detected = 0, probe_effects = 0;
+    for (const TestVector& pv : probe) {
+      const ReferenceFaultSim::FrameStats fs = probe_ref.apply(pv);
+      probe_detected += fs.detected;
+      probe_effects += fs.ff_effects;
+    }
+    const FaultSimStats scored = sim.evaluate_sequence(probe, scratch);
+    ASSERT_EQ(scored.detected, probe_detected) << where << " (evaluate)";
+    ASSERT_EQ(scored.fault_effects_at_ffs, probe_effects)
+        << where << " (evaluate)";
+
+    const TestVector v = random_vector(c, rng);
+    const ReferenceFaultSim::FrameStats want = ref.apply(v);
+    const FaultSimStats got = sim.apply_vector(v, t);
+    ASSERT_EQ(got.detected, want.detected) << where;
+    ASSERT_EQ(got.fault_effects_at_ffs, want.ff_effects) << where;
+  }
+  for (std::size_t f = 0; f < fl.size(); ++f)
+    EXPECT_EQ(fl.status(f) == FaultStatus::Detected, ref.detected(f))
+        << fault_name(c, fl.fault(f));
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, FsimUncollapsedTest,
+                         ::testing::Values("s27", "s298", "s386", "s526"));
+
 // ---- differential fuzz: random circuits vs. the naive reference -------------
 //
 // circuitgen-driven randomized sweep (fixed seed): ~50 random small

@@ -120,11 +120,12 @@ TEST(PackedGateEval, NaryGates) {
 
 // ---- scalar gate evaluator ----------------------------------------------------
 //
-// eval_logic_gate is the scalar evaluator the fault simulator and PODEM
-// share.  Every ternary input combination of every fanin count is checked
-// against eval_packed_gate (one combination per lane) and against an
-// independent oracle: a single gate's ternary output is binary exactly when
-// every binary completion of its X inputs gives the same value.
+// eval_logic_gate is PODEM's scalar evaluator; the fault simulator runs both
+// of its machines on eval_packed_gate.  Every ternary input combination of
+// every fanin count is checked against eval_packed_gate (one combination per
+// lane) and against an independent oracle: a single gate's ternary output is
+// binary exactly when every binary completion of its X inputs gives the same
+// value, so the test holds both evaluators to the same truth tables.
 
 bool binary_gate_function(GateType type, const std::vector<bool>& in) {
   bool acc = in.empty() ? false : in[0];

@@ -112,14 +112,6 @@ namespace {
   std::exit(code);
 }
 
-const char* arg_value(int argc, char** argv, int& i, const char* prog) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "%s: %s requires a value\n", prog, argv[i]);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
 /// One-line diagnostic naming the rejected flag — and, for a bad value,
 /// what it expects — then exit 2.  Without `expected` the flag is unknown.
 [[noreturn]] void flag_error(const char* flag, const char* expected = nullptr,
@@ -131,6 +123,16 @@ const char* arg_value(int argc, char** argv, int& i, const char* prog) {
     std::fprintf(stderr, "gatest_atpg: unknown flag '%s' (see --help)\n",
                  flag);
   std::exit(2);
+}
+
+/// The value after flag argv[i] (advancing i past it); a flag given last,
+/// without its value, gets the same one-line diagnostic as a bad value.
+const char* arg_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "gatest_atpg: %s requires a value\n", argv[i]);
+    std::exit(2);
+  }
+  return argv[++i];
 }
 
 /// Strict unsigned integer parse: the whole token must be digits (an
@@ -176,65 +178,65 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--circuit") circuit_file = arg_value(argc, argv, i, argv[0]);
-    else if (a == "--profile") profile = arg_value(argc, argv, i, argv[0]);
+    if (a == "--circuit") circuit_file = arg_value(argc, argv, i);
+    else if (a == "--profile") profile = arg_value(argc, argv, i);
     else if (a == "--engine") {
-      engine = arg_value(argc, argv, i, argv[0]);
+      engine = arg_value(argc, argv, i);
       if (engine != "ga" && engine != "random" && engine != "cris" &&
           engine != "hitec" && engine != "two-pass")
         flag_error("--engine", "ga|random|cris|hitec|two-pass", engine.c_str());
     }
-    else if (a == "--seed") cfg.seed = parse_uint("--seed", arg_value(argc, argv, i, argv[0]));
-    else if (a == "--sample") cfg.fault_sample_size = static_cast<unsigned>(parse_uint("--sample", arg_value(argc, argv, i, argv[0])));
-    else if (a == "--threads") cfg.num_threads = static_cast<unsigned>(parse_uint("--threads", arg_value(argc, argv, i, argv[0]), 1));
+    else if (a == "--seed") cfg.seed = parse_uint("--seed", arg_value(argc, argv, i));
+    else if (a == "--sample") cfg.fault_sample_size = static_cast<unsigned>(parse_uint("--sample", arg_value(argc, argv, i)));
+    else if (a == "--threads") cfg.num_threads = static_cast<unsigned>(parse_uint("--threads", arg_value(argc, argv, i), 1));
     else if (a == "--gap") {
-      const char* v = arg_value(argc, argv, i, argv[0]);
+      const char* v = arg_value(argc, argv, i);
       cfg.generation_gap = parse_double("--gap", v, "a number in (0,1]");
       if (!(cfg.generation_gap > 0.0 && cfg.generation_gap <= 1.0))
         flag_error("--gap", "a number in (0,1]", v);
     }
     else if (a == "--time-limit") {
-      const char* v = arg_value(argc, argv, i, argv[0]);
+      const char* v = arg_value(argc, argv, i);
       rc.budget.time_limit_seconds = parse_double("--time-limit", v, "a positive number of seconds");
       if (rc.budget.time_limit_seconds <= 0.0)
         flag_error("--time-limit", "a positive number of seconds", v);
     }
-    else if (a == "--max-evals") rc.budget.max_evaluations = parse_uint("--max-evals", arg_value(argc, argv, i, argv[0]), 1);
-    else if (a == "--max-vectors") rc.budget.max_vectors = parse_uint("--max-vectors", arg_value(argc, argv, i, argv[0]), 1);
-    else if (a == "--checkpoint") checkpoint_file = arg_value(argc, argv, i, argv[0]);
+    else if (a == "--max-evals") rc.budget.max_evaluations = parse_uint("--max-evals", arg_value(argc, argv, i), 1);
+    else if (a == "--max-vectors") rc.budget.max_vectors = parse_uint("--max-vectors", arg_value(argc, argv, i), 1);
+    else if (a == "--checkpoint") checkpoint_file = arg_value(argc, argv, i);
     else if (a == "--checkpoint-interval") {
-      const char* v = arg_value(argc, argv, i, argv[0]);
+      const char* v = arg_value(argc, argv, i);
       rc.checkpoint_interval_seconds = parse_double("--checkpoint-interval", v, "a positive number of seconds");
       if (rc.checkpoint_interval_seconds <= 0.0)
         flag_error("--checkpoint-interval", "a positive number of seconds", v);
     }
-    else if (a == "--resume") resume_file = arg_value(argc, argv, i, argv[0]);
-    else if (a == "--metrics-out") metrics_file = arg_value(argc, argv, i, argv[0]);
-    else if (a == "--trace-out") trace_file = arg_value(argc, argv, i, argv[0]);
+    else if (a == "--resume") resume_file = arg_value(argc, argv, i);
+    else if (a == "--metrics-out") metrics_file = arg_value(argc, argv, i);
+    else if (a == "--trace-out") trace_file = arg_value(argc, argv, i);
     else if (a == "--progress") show_progress = true;
     else if (a == "--quiet") telemetry::global_logger().set_level(telemetry::LogLevel::Quiet);
     else if (a == "--verbose") telemetry::global_logger().set_level(telemetry::LogLevel::Debug);
     else if (a == "--coding") {
-      const std::string v = arg_value(argc, argv, i, argv[0]);
+      const std::string v = arg_value(argc, argv, i);
       if (v == "binary") cfg.sequence_coding = Coding::Binary;
       else if (v == "nonbinary") cfg.sequence_coding = Coding::NonBinary;
       else flag_error("--coding", "binary|nonbinary", v.c_str());
     } else if (a == "--selection") {
-      const std::string v = arg_value(argc, argv, i, argv[0]);
+      const std::string v = arg_value(argc, argv, i);
       if (v == "roulette") cfg.selection = SelectionScheme::RouletteWheel;
       else if (v == "sus") cfg.selection = SelectionScheme::StochasticUniversal;
       else if (v == "tournament") cfg.selection = SelectionScheme::TournamentNoReplacement;
       else if (v == "tournament-r") cfg.selection = SelectionScheme::TournamentWithReplacement;
       else flag_error("--selection", "roulette|sus|tournament|tournament-r", v.c_str());
     } else if (a == "--crossover") {
-      const std::string v = arg_value(argc, argv, i, argv[0]);
+      const std::string v = arg_value(argc, argv, i);
       if (v == "1point") cfg.crossover = CrossoverScheme::OnePoint;
       else if (v == "2point") cfg.crossover = CrossoverScheme::TwoPoint;
       else if (v == "uniform") cfg.crossover = CrossoverScheme::Uniform;
       else flag_error("--crossover", "1point|2point|uniform", v.c_str());
     }
     else if (a == "--model") {
-      model = arg_value(argc, argv, i, argv[0]);
+      model = arg_value(argc, argv, i);
       if (model != "stuck" && model != "transition")
         flag_error("--model", "stuck|transition", model.c_str());
     }
@@ -246,10 +248,10 @@ int main(int argc, char** argv) {
     else if (a == "--fitness-cache") cfg.fitness_cache = true;
     else if (a == "--compact") do_compact = true;
     else if (a == "--report") do_report = true;
-    else if (a == "--out") out_file = arg_value(argc, argv, i, argv[0]);
-    else if (a == "--responses") resp_file = arg_value(argc, argv, i, argv[0]);
-    else if (a == "--vcd") vcd_file = arg_value(argc, argv, i, argv[0]);
-    else if (a == "--write-bench") bench_out = arg_value(argc, argv, i, argv[0]);
+    else if (a == "--out") out_file = arg_value(argc, argv, i);
+    else if (a == "--responses") resp_file = arg_value(argc, argv, i);
+    else if (a == "--vcd") vcd_file = arg_value(argc, argv, i);
+    else if (a == "--write-bench") bench_out = arg_value(argc, argv, i);
     else if (a == "--help" || a == "-h") usage(argv[0], 0);
     else flag_error(argv[i]);
   }
