@@ -53,19 +53,14 @@ cmake --build build-tsan --target gatest_atpg_cli util_test run_control_test \
 export TSAN_OPTIONS="halt_on_error=1"
 # End-to-end: a short GA run with 4 evaluation threads drives the thread
 # pool, with every evaluator scoring against the one committed simulator
-# through its own scratch, interleaved with commits on the main thread —
-# with telemetry attached so the metrics/trace/chunk-timing paths are
-# exercised.
+# through its own scratch, interleaved with commits on the main thread and
+# the GA runs' fitness memos on it — with telemetry attached so the
+# metrics/trace/chunk-timing paths are exercised.
 tsan_trace=$(mktemp /tmp/gatest_tsan.XXXXXX.jsonl)
 build-tsan/tools/gatest_atpg --profile s298 --engine ga --seed 1 \
     --threads 4 --max-evals 2000 --trace-out "$tsan_trace" \
     --metrics-out /dev/null || fail=1
 rm -f "$tsan_trace"
-# Same path with the fitness cache on: the per-evaluator caches must stay
-# data-race free at 4 threads.
-build-tsan/tools/gatest_atpg --profile s298 --engine ga --seed 1 \
-    --threads 4 --max-evals 2000 --fitness-cache \
-    --metrics-out /dev/null || fail=1
 # Unit coverage of the pool itself (exception propagation, reuse), four
 # threads scoring one const committed simulator at once, and the
 # parallel-vs-serial identity of the generator (warm starts included).

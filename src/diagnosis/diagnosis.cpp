@@ -3,49 +3,10 @@
 #include <algorithm>
 #include <map>
 
+#include "sim/packed.h"
+
 namespace gatest {
 namespace {
-
-/// Evaluate one gate over an arbitrary fanin-value accessor.
-template <typename FaninFn>
-Logic eval_gate_with(const Circuit& c, GateId id, FaninFn&& in) {
-  const Gate& g = c.gate(id);
-  switch (g.type) {
-    case GateType::Const0: return Logic::Zero;
-    case GateType::Const1: return Logic::One;
-    case GateType::Buf:    return in(0);
-    case GateType::Not:    return logic_not(in(0));
-    case GateType::And:
-    case GateType::Nand: {
-      Logic acc = in(0);
-      for (std::size_t i = 1; i < g.fanins.size(); ++i)
-        acc = logic_and(acc, in(i));
-      return g.type == GateType::Nand ? logic_not(acc) : acc;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      Logic acc = in(0);
-      for (std::size_t i = 1; i < g.fanins.size(); ++i)
-        acc = logic_or(acc, in(i));
-      return g.type == GateType::Nor ? logic_not(acc) : acc;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      Logic acc = in(0);
-      for (std::size_t i = 1; i < g.fanins.size(); ++i)
-        acc = logic_xor(acc, in(i));
-      return g.type == GateType::Xnor ? logic_not(acc) : acc;
-    }
-    default: return Logic::X;
-  }
-}
-
-Logic eval_gate_scalar(const Circuit& c, GateId id,
-                       const std::vector<Logic>& val) {
-  const Gate& g = c.gate(id);
-  return eval_gate_with(c, id,
-                        [&](std::size_t i) { return val[g.fanins[i]]; });
-}
 
 /// Constant nets hold their value from the start: the settle loops skip
 /// combinational sources, so an all-X frame would otherwise leave CONST0 /
@@ -70,9 +31,13 @@ FaultDictionary::FaultDictionary(const Circuit& c, std::vector<Fault> faults,
   good_vals_frames_.reserve(tests_.size());
   for (const TestVector& v : tests_) {
     for (std::size_t i = 0; i < c.num_inputs(); ++i) gval[c.inputs()[i]] = v[i];
-    for (GateId id : c.topo_order())
-      if (!is_combinational_source(c.gate(id).type))
-        gval[id] = eval_gate_scalar(c, id, gval);
+    for (GateId id : c.topo_order()) {
+      const Gate& g = c.gate(id);
+      if (is_combinational_source(g.type)) continue;
+      gval[id] = eval_logic_gate(
+          g.type, g.fanins.size(),
+          [&](std::size_t i) { return gval[g.fanins[i]]; });
+    }
     good_vals_frames_.push_back(gval);  // pre-latch snapshot
     std::vector<Logic> pos;
     pos.reserve(c.num_outputs());
@@ -121,7 +86,7 @@ Signature FaultDictionary::observe(const Fault& f) const {
     for (GateId id : c.topo_order()) {
       const Gate& g = c.gate(id);
       if (is_combinational_source(g.type)) continue;
-      val[id] = eval_gate_with(c, id, [&](std::size_t i) {
+      val[id] = eval_logic_gate(g.type, g.fanins.size(), [&](std::size_t i) {
         if (f.pin == static_cast<std::int16_t>(i) && f.gate == id &&
             f.model == FaultModel::StuckAt)
           return f.stuck ? Logic::One : Logic::Zero;

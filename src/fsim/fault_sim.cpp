@@ -89,7 +89,6 @@ void SequentialFaultSimulator::reset() {
   seed_const_nets(good_val_);
   prev_val_ = good_val_;
   for (auto& d : diffs_) d.clear();
-  ++state_epoch_;
 }
 
 std::vector<Logic> SequentialFaultSimulator::good_ff_state() const {
@@ -124,7 +123,6 @@ void SequentialFaultSimulator::restore(const FaultSimSnapshot& s) {
   prev_val_ = s.prev_values;
   diffs_ = s.diffs;
   faults_->import_status(s.status, s.detected_by);
-  ++state_epoch_;
 }
 
 const std::vector<SequentialFaultSimulator::FfDiff>&
@@ -215,7 +213,6 @@ FaultSimStats SequentialFaultSimulator::apply_vector(const TestVector& v,
                         .prev = &prev_val_, .committed_diffs = &diffs_,
                         .test_index = test_index};
   ++commit_scratch_.counters_.vectors_committed;
-  ++state_epoch_;
   faults_->undetected_indices(commit_scratch_.active_);
   const FaultSimStats stats = simulate_frame(v, ctx);
   commit_scratch_.counters_.faults_dropped += stats.detected;
@@ -248,7 +245,6 @@ void SequentialFaultSimulator::import_fault_status(
     const std::vector<FaultStatus>& status,
     const std::vector<std::int64_t>& detected_by) {
   faults_->import_status(status, detected_by);
-  ++state_epoch_;
 }
 
 FaultSimStats SequentialFaultSimulator::evaluate_vector(

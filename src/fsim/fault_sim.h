@@ -275,15 +275,6 @@ class SequentialFaultSimulator {
   const FsimCounters& counters() const { return commit_scratch_.counters_; }
   void reset_counters() { commit_scratch_.counters_ = FsimCounters{}; }
 
-  // ---- committed-state epoch (memoization support) ------------------------
-
-  /// Monotonic counter bumped whenever the committed machine state or the
-  /// fault list's detection bookkeeping changes (apply_*, reset, restore,
-  /// replay_committed, import_fault_status).  Candidate evaluation never
-  /// bumps it, so a fitness value computed against epoch E is valid for as
-  /// long as state_epoch() == E — the FitnessEvaluator cache keys on this.
-  std::uint64_t state_epoch() const { return state_epoch_; }
-
  private:
   using FfDiff = FaultSimScratch::FfDiff;
 
@@ -388,8 +379,6 @@ class SequentialFaultSimulator {
   std::vector<Injection> fault_kind_;
 
   FaultSimScratch commit_scratch_;              // commit path's scratch
-
-  std::uint64_t state_epoch_ = 0;
 };
 
 }  // namespace gatest

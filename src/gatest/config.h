@@ -112,15 +112,6 @@ struct TestGenConfig {
   /// simulators from it (bench/e2e/atpg.cpp:292, bench/e2e/serve.cpp:420).
   std::string fsim_backend = "event";
 
-  // ---- fitness hot-path acceleration (DESIGN.md) ---------------------------
-  /// Memoize genome→fitness results between commits.  Overlapping
-  /// populations and elitist survivors re-evaluate identical genomes; a hit
-  /// skips the fault simulation entirely.  Emitted tests are bit-identical
-  /// with the cache on or off (ctest-enforced).
-  bool fitness_cache = false;
-  /// Max cached entries per evaluator before a whole-map eviction.
-  std::size_t fitness_cache_capacity = 1u << 14;
-
   // ---- robustness guards (not in the paper; needed for circuits with
   // uninitializable flip-flops, which a simulation-based generator cannot
   // distinguish from hard-to-initialize ones) -------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <stdexcept>
 
 #include "analysis/prune.h"
@@ -10,6 +11,17 @@
 #include "util/timer.h"
 
 namespace gatest {
+namespace {
+
+/// Fitness of one GA chromosome under `phase`, scored on `ev`.
+double score(FitnessEvaluator& ev, Phase phase,
+             const std::vector<std::uint8_t>& genes, std::size_t num_pis) {
+  return phase == Phase::Sequences
+             ? ev.sequence_fitness(decode_sequence(genes, num_pis))
+             : ev.vector_fitness(decode_vector(genes, num_pis), phase);
+}
+
+}  // namespace
 
 GaTestGenerator::GaTestGenerator(const Circuit& c, FaultList& faults,
                                  TestGenConfig config)
@@ -20,7 +32,7 @@ GaTestGenerator::GaTestGenerator(const Circuit& c, FaultList& faults,
       rng_(config.seed) {
   depth_ = std::max(1u, c.sequential_depth());
   const unsigned threads = std::max(1u, config_.num_threads);
-  evaluators_.assign(threads, FitnessEvaluator(*sim_, config_));
+  evaluators_.assign(threads, FitnessEvaluator(*sim_));
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   std::vector<UntestableTag> heuristic_tags;
   if (config_.prune_untestable)
@@ -59,17 +71,14 @@ FaultSimStats GaTestGenerator::commit_vector(const TestVector& v,
   return stats;
 }
 
-FitnessCacheStats GaTestGenerator::cache_stats() const {
-  FitnessCacheStats cs;
-  for (const FitnessEvaluator& ev : evaluators_)
-    cs.accumulate(ev.cache_stats());
-  return cs;
-}
-
 std::size_t GaTestGenerator::total_evaluations() const {
   std::size_t n = prior_evals_;
-  for (const FitnessEvaluator& ev : evaluators_) n += ev.evaluations();
+  for (const std::size_t evals : phase_evals_) n += evals;
   return n;
+}
+
+std::size_t GaTestGenerator::sim_evaluations() const {
+  return total_evaluations() - prior_evals_ - memo_hits_;
 }
 
 bool GaTestGenerator::stop_now() {
@@ -258,10 +267,7 @@ void GaTestGenerator::install_ga_observer(GeneticAlgorithm& ga) {
   });
 }
 
-const Individual& GaTestGenerator::run_ga(
-    GeneticAlgorithm& ga,
-    const std::function<double(FitnessEvaluator&,
-                               const std::vector<std::uint8_t>&)>& fit) {
+const Individual& GaTestGenerator::run_ga(GeneticAlgorithm& ga, Phase phase) {
   ga.set_stop_check([this] { return stop_now(); });
   install_ga_observer(ga);
   const double ga_t0 = tracker_.elapsed_seconds();
@@ -272,36 +278,50 @@ const Individual& GaTestGenerator::run_ga(
         {{"phase", current_phase_name()},
          {"length", static_cast<std::uint64_t>(ga.chromosome_length())}});
 
-  const Individual* best = nullptr;
-  if (!pool_) {
-    best = &ga.run([&](const std::vector<std::uint8_t>& genes) {
-      return fit(evaluators_.front(), genes);
-    });
-  } else {
-    // Parallel path: split each unevaluated batch into one chunk per
-    // evaluator.  Every evaluator scores against the same committed
-    // simulator state with its own scratch, so fitness values — and hence
-    // results — do not depend on the thread count.
-    best = &ga.run([&](const std::vector<const std::vector<std::uint8_t>*>&
-                           batch,
-                       std::vector<double>& out) {
-      const std::size_t sims = evaluators_.size();
-      const std::size_t chunk = (batch.size() + sims - 1) / sims;
+  // The committed state, the fault sample and the phase stay fixed for this
+  // whole GA run, so a chromosome's fitness cannot change within it: the
+  // memo needs no invalidation, and holds at most one entry per individual
+  // the run scores.  Keys are whole chromosomes (their gene bytes), so a hit
+  // never returns another chromosome's score.
+  using Genes = std::vector<std::uint8_t>;
+  std::map<std::string, double> memo;
+  std::vector<std::pair<const Genes*, double*>> misses;  // new this batch
+  std::vector<const double*> slots;  // each batch member's memo entry
+  const Individual& best = ga.run([&](const std::vector<const Genes*>& batch,
+                                      std::vector<double>& out) {
+    misses.clear();
+    slots.clear();
+    for (const Genes* genes : batch) {
+      const auto [it, fresh] =
+          memo.try_emplace(std::string(genes->begin(), genes->end()), 0.0);
+      if (fresh) misses.emplace_back(genes, &it->second);
+      slots.push_back(&it->second);
+    }
+    // Score each new chromosome once: inline on evaluators_[0] with one
+    // thread, else one contiguous chunk per evaluator on the pool.  Every
+    // evaluator scores against the same committed state with its own
+    // scratch, so the scores do not depend on the thread count.
+    const std::size_t n = misses.size();
+    const std::size_t sims = evaluators_.size();
+    const std::size_t chunk = (n + sims - 1) / sims;
+    const auto score_chunk = [&](std::size_t s) {
+      const std::size_t end = std::min(n, (s + 1) * chunk);
+      for (std::size_t i = s * chunk; i < end; ++i)
+        *misses[i].second = score(evaluators_[s], phase, *misses[i].first,
+                                  circuit_->num_inputs());
+    };
+    if (!pool_) {
+      score_chunk(0);
+    } else if (n > 0) {
       const bool timed = telem_ != nullptr;
       if (timed) chunk_seconds_.assign(sims, 0.0);
       std::size_t used = 0;
-      for (std::size_t s = 0; s < sims; ++s) {
-        const std::size_t begin = s * chunk;
-        const std::size_t end = std::min(batch.size(), begin + chunk);
-        if (begin >= end) break;
-        FitnessEvaluator* ev = &evaluators_[s];
-        ++used;
+      for (; used < sims && used * chunk < n; ++used) {
         // Each task writes its wall time into its own slot; the main thread
         // reads them only after wait_idle()'s join, so this is race-free.
-        pool_->submit([this, &batch, &out, &fit, ev, begin, end, timed, s] {
+        pool_->submit([&, s = used] {
           Timer chunk_timer;
-          for (std::size_t i = begin; i < end; ++i)
-            out[i] = fit(*ev, *batch[i]);
+          score_chunk(s);
           if (timed) chunk_seconds_[s] = chunk_timer.elapsed_seconds();
         });
       }
@@ -319,8 +339,11 @@ const Individual& GaTestGenerator::run_ga(
           telem_->metrics.histogram("parallel.imbalance_ratio")
               .observe(max * static_cast<double>(used) / sum);
       }
-    });
-  }
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) out[i] = *slots[i];
+    phase_evals_[static_cast<std::size_t>(phase) - 1] += batch.size();
+    memo_hits_ += batch.size() - n;
+  });
 
   if (telem_) {
     const double dur = tracker_.elapsed_seconds() - ga_t0;
@@ -330,10 +353,10 @@ const Individual& GaTestGenerator::run_ga(
         ga_span, "ga_run_end",
         {{"phase", current_phase_name()},
          {"dur_s", dur},
-         {"best", best->fitness},
+         {"best", best.fitness},
          {"evaluations", static_cast<std::uint64_t>(ga.evaluations())}});
   }
-  return *best;
+  return best;
 }
 
 GaConfig GaTestGenerator::vector_ga_config() const {
@@ -395,12 +418,7 @@ TestVector GaTestGenerator::evolve_vector(Phase phase) {
   if (config_.seed_with_previous_best &&
       last_best_genes_.size() == circuit_->num_inputs())
     ga.seed_individual(last_best_genes_);
-  const Individual& best = run_ga(
-      ga, [this, phase](FitnessEvaluator& ev,
-                        const std::vector<std::uint8_t>& genes) {
-        return ev.vector_fitness(decode_vector(genes, circuit_->num_inputs()),
-                                 phase);
-      });
+  const Individual& best = run_ga(ga, phase);
   last_best_genes_ = best.genes;
   return decode_vector(best.genes, circuit_->num_inputs());
 }
@@ -410,11 +428,7 @@ TestSequence GaTestGenerator::evolve_sequence(unsigned frames) {
   GeneticAlgorithm ga(sequence_ga_config(),
                       static_cast<std::size_t>(frames) * circuit_->num_inputs(),
                       rng_);
-  const Individual& best = run_ga(
-      ga, [this](FitnessEvaluator& ev, const std::vector<std::uint8_t>& genes) {
-        return ev.sequence_fitness(
-            decode_sequence(genes, circuit_->num_inputs()));
-      });
+  const Individual& best = run_ga(ga, Phase::Sequences);
   return decode_sequence(best.genes, circuit_->num_inputs());
 }
 
@@ -681,8 +695,8 @@ TestGenResult GaTestGenerator::run() {
            {"coverage", result_.fault_coverage},
            {"evaluations",
             static_cast<std::uint64_t>(result_.fitness_evaluations)},
-           {"cache_hits", cache_stats().hits},
-           {"cache_misses", cache_stats().misses},
+           {"cache_hits", static_cast<std::uint64_t>(memo_hits_)},
+           {"cache_misses", static_cast<std::uint64_t>(sim_evaluations())},
            {"stop_reason", to_string(stop_reason_)}});
     }
     telem_->progress.finish();
@@ -716,23 +730,15 @@ void GaTestGenerator::telemetry_finalize_metrics() {
   m.gauge("fsim.packed_utilization").set(fc.packed_utilization());
   m.gauge("fsim.lane_width").set(kFaultSimLanes);
 
-  const FitnessCacheStats cs = cache_stats();
-  set_total("fitness.cache.hits", cs.hits);
-  set_total("fitness.cache.misses", cs.misses);
-  set_total("fitness.cache.evictions", cs.evictions);
-  set_total("fitness.cache.invalidations", cs.invalidations);
-  std::size_t sim_evals = 0;
-  for (const FitnessEvaluator& ev : evaluators_)
-    sim_evals += ev.sim_evaluations();
-  set_total("fitness.sim_evaluations", sim_evals);
-
+  // The GA runs' memos answer repeated chromosomes; the simulator scores
+  // the rest (the memo misses).
+  set_total("fitness.cache.hits", memo_hits_);
+  set_total("fitness.cache.misses", sim_evaluations());
+  set_total("fitness.sim_evaluations", sim_evaluations());
   for (Phase p : {Phase::InitializeFfs, Phase::DetectFaults,
-                  Phase::DetectWithActivity, Phase::Sequences}) {
-    std::size_t evals = 0;
-    for (const FitnessEvaluator& ev : evaluators_)
-      evals += ev.evaluations_in(p);
-    set_total(std::string("fitness.evals.") + phase_name(p), evals);
-  }
+                  Phase::DetectWithActivity, Phase::Sequences})
+    set_total(std::string("fitness.evals.") + phase_name(p),
+              phase_evals_[static_cast<std::size_t>(p) - 1]);
 
   set_total("gatest.vectors", result_.test_set.size());
   set_total("gatest.sequences_committed", result_.sequences_committed);

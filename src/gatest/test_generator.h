@@ -125,10 +125,6 @@ class GaTestGenerator {
   /// Effective sequential depth used for limits: max(1, structural depth).
   unsigned effective_depth() const { return depth_; }
 
-  /// Fitness-cache counters aggregated over every per-thread evaluator (all
-  /// zero unless TestGenConfig::fitness_cache).
-  FitnessCacheStats cache_stats() const;
-
  private:
   /// Phase-machine position, checkpointed at every commit boundary.
   struct RunState {
@@ -148,6 +144,8 @@ class GaTestGenerator {
 
   /// Cumulative fitness evaluations (prior run segments + this one).
   std::size_t total_evaluations() const;
+  /// GA candidates this generator had the simulator score (memo misses).
+  std::size_t sim_evaluations() const;
 
   /// Budget/interrupt poll; records the first stop reason (sticky).
   bool stop_now();
@@ -168,12 +166,10 @@ class GaTestGenerator {
   /// Commit a vector through the simulator (traced as an fsim_commit span).
   FaultSimStats commit_vector(const TestVector& v, std::int64_t index);
 
-  /// Run one GA with the right (serial or parallel) evaluation strategy.
-  /// `fit` computes the fitness of one chromosome on a given evaluator.
-  const Individual& run_ga(
-      GeneticAlgorithm& ga,
-      const std::function<double(FitnessEvaluator&,
-                                 const std::vector<std::uint8_t>&)>& fit);
+  /// Run one GA scoring its chromosomes under `phase`.  A memo kept for
+  /// this one run answers repeated chromosomes; the others are scored on
+  /// evaluators_[0], or in one chunk per evaluator on the pool.
+  const Individual& run_ga(GeneticAlgorithm& ga, Phase phase);
 
   // ---- telemetry (all no-ops when telem_ == nullptr) ----------------------
 
@@ -203,9 +199,13 @@ class GaTestGenerator {
   /// config_.fsim_backend), so a stale engine name throws at construction.
   std::unique_ptr<SequentialFaultSimulator> sim_;
   /// One evaluator per evaluation thread (config_.num_threads), each with
-  /// its own simulator scratch and fitness cache; [0] also serves the
-  /// serial path.
+  /// its own simulator scratch; [0] also serves the serial path.
   std::vector<FitnessEvaluator> evaluators_;
+  /// Fitness evaluations per phase (index Phase - 1): every individual a GA
+  /// scored, memo hits included, so budgets and checkpoints count the same
+  /// work whatever the memo answers.
+  std::array<std::size_t, 4> phase_evals_{};
+  std::size_t memo_hits_ = 0;  ///< of those, answered by a GA run's memo
   Rng rng_;
   unsigned depth_ = 1;
   std::size_t faults_pruned_ = 0;  ///< static-analysis count (accounting only)

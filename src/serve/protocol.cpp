@@ -115,15 +115,15 @@ bool map_config(const JsonValue& cfg, TestGenConfig& out, ProtocolError& err) {
     else if (v->str == "nonbinary") out.sequence_coding = Coding::NonBinary;
     else return fail(err, "bad-field", "unknown coding '" + v->str + "'");
   }
-  if (!get_bool(cfg, "fitness_cache", out.fitness_cache, err)) return false;
   if (!get_bool(cfg, "prune_untestable", out.prune_untestable, err))
     return false;
   if (!get_bool(cfg, "prune_proven", out.prune_proven, err)) return false;
   // Retired keys, still written by older daemons into every journal record.
-  // They are validated as before and then ignored: both settings only ever
+  // They are validated as before and then ignored: each setting only ever
   // chose between bit-identical runs, so dropping them changes no result.
   bool retired = false;
   if (!get_bool(cfg, "lane_compaction", retired, err)) return false;
+  if (!get_bool(cfg, "fitness_cache", retired, err)) return false;
   if (const JsonValue* v = cfg.find("fsim_backend")) {
     if (!v->is_string())
       return fail(err, "bad-field", "fsim_backend must be a string");
@@ -279,7 +279,6 @@ std::string submit_json(const SubmitRequest& req) {
       .key("crossover").value(crossover)
       .key("coding").value(c.sequence_coding == Coding::NonBinary ? "nonbinary"
                                                                   : "binary")
-      .key("fitness_cache").value(c.fitness_cache)
       .key("prune_untestable").value(c.prune_untestable)
       .key("prune_proven").value(c.prune_proven)
   .end_object();

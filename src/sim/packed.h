@@ -1,7 +1,8 @@
 // 64-lane packed three-valued logic, and the two gate evaluators:
 // eval_packed_gate over packed words, which the parallel logic simulator and
 // both machines of the fault simulator use (its good machine as words with
-// all lanes equal), and eval_logic_gate over scalar values, which PODEM uses.
+// all lanes equal), and eval_logic_gate over scalar values, which PODEM and
+// the diagnosis dictionary use.
 //
 // Each signal carries two 64-bit words: bit i of `zero` means lane i is 0,
 // bit i of `one` means lane i is 1, neither bit means X.  Both bits set is

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "circuitgen/circuitgen.h"
 #include "diagnosis/diagnosis.h"
 #include "fault/fault.h"
 #include "fsim/fault_sim.h"
 #include "gatest/test_generator.h"
+#include "netlist/bench_io.h"
 #include "util/rng.h"
 
 namespace gatest {
@@ -184,6 +186,66 @@ TEST(Diagnosis, TransitionFaultSignatures) {
     if (!dict.signature(i).empty()) ++nonempty;
   EXPECT_GT(nonempty, tf.size() / 4);
 }
+
+// ---- every gate type ---------------------------------------------------------
+
+/// A small sequential circuit of one gate type: a three- and a two-input
+/// instance (one-input instances for BUF and NOT), each reading a primary
+/// input and a flip-flop that holds the previous frame's `a`.
+Circuit gate_circuit(GateType t) {
+  const std::string k(gate_type_name(t));
+  if (t == GateType::Buf || t == GateType::Not)
+    return parse_bench_string("INPUT(a)\nOUTPUT(g)\nOUTPUT(h)\nq = DFF(a)\n"
+                              "g = " + k + "(a)\nh = " + k + "(q)\n",
+                              k);
+  return parse_bench_string("INPUT(a)\nINPUT(b)\nOUTPUT(g)\nOUTPUT(h)\n"
+                            "q = DFF(a)\ng = " + k + "(a, b, q)\nh = " + k +
+                                "(b, q)\n",
+                            k);
+}
+
+class DictionaryGateTest : public ::testing::TestWithParam<GateType> {};
+
+TEST_P(DictionaryGateTest, SignaturesMatchFaultSimulator) {
+  // The dictionary evaluates gates with the scalar eval_logic_gate, the
+  // fault simulator with eval_packed_gate: on a circuit of one gate type
+  // their verdicts and first failing vectors agree for every stuck-at (pin
+  // faults included) and every transition fault.
+  const Circuit c = gate_circuit(GetParam());
+  const auto tests = random_tests(c, 24, 31);
+  for (const bool transition : {false, true}) {
+    const char* model = transition ? "transition" : "stuck-at";
+    const std::vector<Fault> universe = transition
+                                            ? enumerate_transition_faults(c)
+                                            : enumerate_all_faults(c);
+    FaultDictionary dict(c, universe, tests);
+    FaultList fl(c, universe);
+    SequentialFaultSimulator sim(c, fl);
+    for (std::size_t i = 0; i < tests.size(); ++i)
+      sim.apply_vector(tests[i], static_cast<std::int64_t>(i));
+
+    EXPECT_GT(fl.num_detected(), fl.size() / 2) << model;
+    for (std::size_t i = 0; i < fl.size(); ++i) {
+      const bool detected = fl.status(i) == FaultStatus::Detected;
+      ASSERT_EQ(!dict.signature(i).empty(), detected)
+          << model << ": " << fault_name(c, fl.fault(i));
+      if (detected) {
+        EXPECT_EQ(static_cast<std::int64_t>(dict.signature(i).front().first),
+                  fl.detected_by(i))
+            << model << ": " << fault_name(c, fl.fault(i));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GateTypes, DictionaryGateTest,
+    ::testing::Values(GateType::Buf, GateType::Not, GateType::And,
+                      GateType::Nand, GateType::Or, GateType::Nor,
+                      GateType::Xor, GateType::Xnor),
+    [](const ::testing::TestParamInfo<GateType>& info) {
+      return std::string(gate_type_name(info.param));
+    });
 
 }  // namespace
 }  // namespace gatest

@@ -314,7 +314,6 @@ TEST(FaultSim, EvaluateDoesNotMutateState) {
 
   const auto snap_state = sim.good_ff_state();
   const std::size_t det_before = fl.num_detected();
-  const std::uint64_t epoch = sim.state_epoch();
 
   Rng rng(3);
   for (int i = 0; i < 10; ++i) {
@@ -324,7 +323,6 @@ TEST(FaultSim, EvaluateDoesNotMutateState) {
   }
   EXPECT_EQ(sim.good_ff_state(), snap_state);
   EXPECT_EQ(fl.num_detected(), det_before);
-  EXPECT_EQ(sim.state_epoch(), epoch);
 }
 
 TEST(FaultSim, EvaluateThenApplyAgree) {
@@ -489,45 +487,6 @@ TEST(FaultSim, DetectedFaultsAreNeverResimulated) {
     EXPECT_LE(s.faults_simulated, last_active);
     last_active = fl.num_undetected();
   }
-}
-
-TEST(FaultSim, StateEpochBumpSemantics) {
-  const Circuit c = make_s27();
-  FaultList fl(c);
-  SequentialFaultSimulator sim(c, fl);
-  FaultSimScratch scratch;
-  std::uint64_t e = sim.state_epoch();
-
-  sim.apply_vector(logic_vector("0101"), 0);
-  EXPECT_GT(sim.state_epoch(), e);
-  e = sim.state_epoch();
-
-  // Evaluation must never bump the epoch (memoized fitness stays valid).
-  sim.evaluate_vector(logic_vector("1010"), scratch);
-  sim.evaluate_vector_good_only(logic_vector("1111"), scratch);
-  EXPECT_EQ(sim.state_epoch(), e);
-
-  const FaultSimSnapshot snap = sim.snapshot();
-  EXPECT_EQ(sim.state_epoch(), e);  // snapshotting is read-only
-  sim.restore(snap);
-  EXPECT_GT(sim.state_epoch(), e);
-  e = sim.state_epoch();
-
-  std::vector<FaultStatus> status;
-  std::vector<std::int64_t> detected_by;
-  sim.export_fault_status(status, detected_by);
-  EXPECT_EQ(sim.state_epoch(), e);  // export is read-only
-  sim.import_fault_status(status, detected_by);
-  EXPECT_GT(sim.state_epoch(), e);
-  e = sim.state_epoch();
-
-  sim.reset();
-  EXPECT_GT(sim.state_epoch(), e);
-  e = sim.state_epoch();
-
-  const TestSequence seq = {logic_vector("0000"), logic_vector("1111")};
-  sim.replay_committed(seq);
-  EXPECT_GT(sim.state_epoch(), e);
 }
 
 TEST(FaultSim, FaultStatusExportImportRoundTrip) {
@@ -759,12 +718,10 @@ TEST_P(FsimContractTest, EvaluateVectorMatchesApplyAndMutatesNothing) {
   for (int round = 0; round < 8; ++round) {
     const auto state = sim_.good_ff_state();
     const std::size_t det = fl_.num_detected();
-    const std::uint64_t epoch = sim_.state_epoch();
     const TestVector v = random_vector(c_, rng);
     const FaultSimStats ev = sim_.evaluate_vector(v, scratch_);
     EXPECT_EQ(sim_.good_ff_state(), state);
     EXPECT_EQ(fl_.num_detected(), det);
-    EXPECT_EQ(sim_.state_epoch(), epoch);
     const FaultSimStats ap = sim_.apply_vector(v, 100 + round);
     expect_stats_equal(ev, ap, ctx("round " + std::to_string(round)));
   }
@@ -876,7 +833,6 @@ TEST_P(FsimContractTest, ConcurrentEvaluationMatchesSerial) {
   const SequentialFaultSimulator& committed = sim_;
   const std::vector<FaultSimStats> serial = score_all(committed, scratch_);
   const auto state = sim_.good_ff_state();
-  const std::uint64_t epoch = sim_.state_epoch();
 
   constexpr int kThreads = 4;
   std::vector<std::vector<FaultSimStats>> got(kThreads);
@@ -896,7 +852,6 @@ TEST_P(FsimContractTest, ConcurrentEvaluationMatchesSerial) {
               scratch_.counters().candidate_evaluations);
   }
   EXPECT_EQ(sim_.good_ff_state(), state);
-  EXPECT_EQ(sim_.state_epoch(), epoch);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,17 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <map>
 #include <numeric>
-#include <set>
 
-#include "circuitgen/circuitgen.h"
-#include "fault/fault.h"
-#include "fsim/fault_sim.h"
 #include "ga/ga.h"
-#include "gatest/config.h"
-#include "gatest/fitness.h"
 #include "util/rng.h"
 
 namespace gatest {
@@ -166,7 +158,7 @@ TEST(Ga, BatchEvaluateCountsComputations) {
 
 TEST(Ga, BatchEvaluateHandsOverDuplicateGenomes) {
   // Duplicate individuals in one generation each occupy a batch slot (the
-  // GA deduplicates nothing itself — that is the fitness cache's job), and
+  // GA deduplicates nothing itself — the generator's fitness memo does), and
   // the per-generation eval counter reflects every slot.
   Rng rng(79);
   GeneticAlgorithm ga(basic_config(), 8, rng);
@@ -187,50 +179,6 @@ TEST(Ga, BatchEvaluateHandsOverDuplicateGenomes) {
   EXPECT_EQ(batch_slots, 16u);
   EXPECT_GE(dup_slots, 4u);
   EXPECT_EQ(ga.evaluations(), 16u);
-}
-
-TEST(Ga, DuplicateGenomesSimulateOncePerUniqueWithCache) {
-  // The GaTestGenerator wiring in miniature: a population seeded with
-  // duplicates, scored through a cache-enabled FitnessEvaluator.  Logical
-  // evaluations count every individual (budget determinism), but the fault
-  // simulator runs once per unique genome.
-  const Circuit c = make_s27();
-  FaultList fl(c);
-  SequentialFaultSimulator sim(c, fl);
-  TestGenConfig tcfg;
-  FitnessEvaluator fit(sim, tcfg);
-  fit.set_cache(true);
-
-  GaConfig cfg = basic_config();
-  Rng rng(80);
-  GeneticAlgorithm ga(cfg, c.num_inputs(), rng);
-  ga.randomize_population();
-  const std::vector<std::uint8_t> dup = {1, 0, 1, 0};
-  for (std::size_t slot = 0; slot < 6; ++slot) ga.set_individual(slot, dup);
-
-  std::set<std::vector<std::uint8_t>> unique;
-  for (const Individual& ind : ga.population()) unique.insert(ind.genes);
-
-  const std::size_t n = ga.evaluate(
-      [&](const std::vector<const std::vector<std::uint8_t>*>& genes,
-          std::vector<double>& out) {
-        for (std::size_t i = 0; i < genes.size(); ++i)
-          out[i] = fit.vector_fitness(decode_vector(*genes[i], c.num_inputs()),
-                                      Phase::DetectFaults);
-      });
-  EXPECT_EQ(n, 16u);
-  EXPECT_EQ(fit.evaluations(), 16u);           // every slot counted
-  EXPECT_EQ(fit.sim_evaluations(), unique.size());  // one sim per unique
-  EXPECT_EQ(fit.cache_stats().misses, unique.size());
-  EXPECT_EQ(fit.cache_stats().hits, 16u - unique.size());
-
-  // Identical fitness for identical genomes, and cached == computed.
-  FitnessEvaluator nocache(sim, tcfg);
-  for (const Individual& ind : ga.population())
-    EXPECT_EQ(ind.fitness,
-              nocache.vector_fitness(decode_vector(ind.genes, c.num_inputs()),
-                                     Phase::DetectFaults))
-        << "cached fitness diverged from direct evaluation";
 }
 
 TEST(Ga, ObserverReportsPerGenerationEvalCounts) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,9 +14,11 @@
 #include "gatest/config.h"
 #include "gatest/fitness.h"
 #include "gatest/test_generator.h"
+#include "netlist/bench_io.h"
 #include "telemetry/json.h"
 #include "telemetry/telemetry.h"
 #include "util/rng.h"
+#include "util/run_control.h"
 
 namespace gatest {
 namespace {
@@ -73,13 +74,12 @@ class FitnessFormulaTest : public ::testing::Test {
  protected:
   FitnessFormulaTest()
       : circuit_(make_s27()), faults_(circuit_), sim_(circuit_, faults_),
-        eval_(sim_, config_) {}
+        eval_(sim_) {}
 
   Circuit circuit_;
   FaultList faults_;
-  TestGenConfig config_;
   SequentialFaultSimulator sim_;
-  FitnessEvaluator eval_{sim_, config_};
+  FitnessEvaluator eval_;
 };
 
 TEST_F(FitnessFormulaTest, Phase1Formula) {
@@ -155,130 +155,10 @@ TEST_F(FitnessFormulaTest, SampleRestrictsFaultsSimulated) {
   const double f = eval_.vector_fitness(logic_vector("1111"), Phase::DetectFaults);
   (void)f;
   EXPECT_EQ(eval_.sample().size(), 4u);
-  EXPECT_EQ(eval_.evaluations(), 1u);
+  EXPECT_EQ(eval_.scratch().counters().candidate_evaluations, 1u);
 }
 
 // ---- generator end-to-end -------------------------------------------------------
-
-// ---- fitness memoization cache ----------------------------------------------
-
-class FitnessCacheTest : public FitnessFormulaTest {
- protected:
-  TestVector vec(const char* bits) { return logic_vector(bits); }
-};
-
-TEST_F(FitnessCacheTest, RepeatedGenomeHitsWithoutResimulating) {
-  eval_.set_cache(true);
-  const double a = eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  const double b = eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(eval_.cache_stats().hits, 1u);
-  EXPECT_EQ(eval_.cache_stats().misses, 1u);
-  EXPECT_EQ(eval_.evaluations(), 2u);       // logical count includes hits
-  EXPECT_EQ(eval_.sim_evaluations(), 1u);   // but the simulator ran once
-}
-
-TEST_F(FitnessCacheTest, PhaseIsPartOfTheKey) {
-  eval_.set_cache(true);
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  eval_.vector_fitness(vec("0110"), Phase::DetectWithActivity);
-  eval_.vector_fitness(vec("0110"), Phase::InitializeFfs);
-  EXPECT_EQ(eval_.cache_stats().hits, 0u);
-  EXPECT_EQ(eval_.cache_stats().misses, 3u);
-}
-
-TEST_F(FitnessCacheTest, CommitInvalidatesAndRecomputes) {
-  eval_.set_cache(true);
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  sim_.apply_vector(vec("1011"), 0);  // commit: epoch moves, state changed
-  const double after = eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  EXPECT_EQ(eval_.cache_stats().hits, 0u);
-  EXPECT_EQ(eval_.cache_stats().misses, 2u);
-  EXPECT_GE(eval_.cache_stats().invalidations, 1u);
-  // The recomputed value reflects the new committed state.
-  FitnessEvaluator fresh(sim_, config_);
-  EXPECT_EQ(after, fresh.vector_fitness(vec("0110"), Phase::DetectFaults));
-}
-
-TEST_F(FitnessCacheTest, ResetAndRestoreInvalidate) {
-  eval_.set_cache(true);
-  sim_.apply_vector(vec("1011"), 0);
-  const auto snap = sim_.snapshot();
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  sim_.restore(snap);
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  sim_.reset();
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  EXPECT_EQ(eval_.cache_stats().hits, 0u);
-  EXPECT_EQ(eval_.cache_stats().misses, 3u);
-}
-
-TEST_F(FitnessCacheTest, SampleChangeInvalidatesOnlyOnRealChange) {
-  eval_.set_cache(true);
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  eval_.set_sample({0, 1, 2});  // real change: drop memoized full-list scores
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  EXPECT_EQ(eval_.cache_stats().misses, 2u);
-  eval_.set_sample({0, 1, 2});  // same sample again: cache survives
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  EXPECT_EQ(eval_.cache_stats().hits, 1u);
-  EXPECT_EQ(eval_.cache_stats().misses, 2u);
-}
-
-TEST_F(FitnessCacheTest, CapacityOverflowEvicts) {
-  eval_.set_cache(true, 4);
-  Rng rng(91);
-  std::set<std::vector<Logic>> seen;
-  for (int i = 0; i < 32; ++i) {
-    TestVector v(circuit_.num_inputs());
-    for (Logic& b : v) b = rng.coin() ? Logic::One : Logic::Zero;
-    seen.insert(v);
-    eval_.vector_fitness(v, Phase::DetectFaults);
-  }
-  EXPECT_GT(eval_.cache_stats().evictions, 0u);
-  EXPECT_LE(eval_.sim_evaluations(), 32u);
-  EXPECT_GE(eval_.sim_evaluations(), seen.size());
-}
-
-TEST_F(FitnessCacheTest, SequencesAreCachedToo) {
-  eval_.set_cache(true);
-  const TestSequence seq = {vec("0110"), vec("1011"), vec("0001")};
-  const double a = eval_.sequence_fitness(seq);
-  const double b = eval_.sequence_fitness(seq);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(eval_.cache_stats().hits, 1u);
-  EXPECT_EQ(eval_.sim_evaluations(), 1u);
-}
-
-TEST_F(FitnessCacheTest, DisabledCacheTouchesNothing) {
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  eval_.vector_fitness(vec("0110"), Phase::DetectFaults);
-  EXPECT_EQ(eval_.cache_stats().hits, 0u);
-  EXPECT_EQ(eval_.cache_stats().misses, 0u);
-  EXPECT_EQ(eval_.sim_evaluations(), eval_.evaluations());
-}
-
-TEST(FitnessCache, GeneratorRunsIdenticallyWithCache) {
-  // End-to-end (library-level twin of the cli_cache_identity gates): same
-  // circuit and seed, accelerated vs. plain, byte-identical test sets.
-  const Circuit c = benchmark_circuit("s386", 3);
-  TestGenConfig plain_cfg;
-  plain_cfg.seed = 21;
-  FaultList plain_faults(c);
-  GaTestGenerator plain(c, plain_faults, plain_cfg);
-  const TestGenResult plain_res = plain.run();
-
-  TestGenConfig accel_cfg = plain_cfg;
-  accel_cfg.fitness_cache = true;
-  FaultList accel_faults(c);
-  GaTestGenerator accel(c, accel_faults, accel_cfg);
-  const TestGenResult accel_res = accel.run();
-
-  EXPECT_EQ(plain_res.test_set, accel_res.test_set);
-  EXPECT_EQ(plain_res.faults_detected, accel_res.faults_detected);
-  EXPECT_EQ(plain_res.fitness_evaluations, accel_res.fitness_evaluations);
-  EXPECT_GT(accel.cache_stats().hits, 0u);
-}
 
 TEST(GaTestGenerator, RejectsUnknownFsimBackend) {
   // "event" is the only engine; a stale name such as the retired
@@ -674,15 +554,17 @@ TEST(GaTestGenerator, ParallelWithSamplingMatchesSerial) {
 TEST(GaTestGenerator, WorkCountersDoNotDependOnThreadCount) {
   // Every thread scores candidates against the one committed simulator, so
   // a run's fault-simulation counters are the same at 1 and 4 threads:
-  // each vector is committed once, and each candidate is evaluated once,
-  // whichever thread scores it.
+  // each vector is committed once, and each distinct chromosome of a GA run
+  // is simulated once, whichever thread scores it; the run's memo answers
+  // its repeats on the calling thread.
   const Circuit c = benchmark_circuit("s298");
   const char* const names[] = {
       "fsim.vectors_committed", "fsim.candidate_evaluations",
       "fsim.frames_simulated",  "fsim.good_events",
       "fsim.faulty_events",     "fsim.faults_dropped",
       "fsim.fault_groups",      "fsim.fault_group_lanes",
-      "fitness.sim_evaluations"};
+      "fitness.sim_evaluations", "fitness.cache.hits",
+      "gatest.evaluations"};
   auto run_with = [&](unsigned threads) {
     FaultList faults(c);
     TestGenConfig cfg;
@@ -699,9 +581,109 @@ TEST(GaTestGenerator, WorkCountersDoNotDependOnThreadCount) {
         << threads << " threads";
     EXPECT_EQ(counts["fsim.faults_dropped"], res.faults_detected)
         << threads << " threads";
+    // The golden s298 seed 11 run: repeats are 45% of its evaluations.
+    EXPECT_EQ(counts["gatest.evaluations"], 7360u) << threads << " threads";
+    EXPECT_EQ(counts["fitness.sim_evaluations"], 4035u)
+        << threads << " threads";
+    EXPECT_EQ(counts["fitness.cache.hits"], 3325u) << threads << " threads";
     return counts;
   };
   EXPECT_EQ(run_with(1), run_with(4));
+}
+
+// ---- fitness memo ---------------------------------------------------------------
+
+TEST(FitnessMemo, PublishedCountsMatchSimulatorCalls) {
+  // fitness.sim_evaluations is derived (evaluations minus memo hits), so it
+  // must equal the simulator's own count of candidates it scored; the only
+  // other evaluate_* call is each sequence attempt's full-list probe.
+  const Circuit c = benchmark_circuit("s386");
+  FaultList faults(c);
+  TestGenConfig cfg;
+  cfg.seed = 1;
+  telemetry::RunTelemetry telem;
+  GaTestGenerator gen(c, faults, cfg);
+  gen.set_telemetry(&telem);
+  const TestGenResult res = gen.run();
+  auto count = [&](const char* name) {
+    return telem.metrics.counter(name).value();
+  };
+  const std::uint64_t evals = count("gatest.evaluations");
+  const std::uint64_t hits = count("fitness.cache.hits");
+  const std::uint64_t sims = count("fitness.sim_evaluations");
+  EXPECT_EQ(evals, res.fitness_evaluations);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(res.sequence_attempts, 0u);
+  EXPECT_EQ(hits + sims, evals);
+  EXPECT_EQ(count("fitness.cache.misses"), sims);
+  EXPECT_EQ(count("fsim.candidate_evaluations"),
+            sims + res.sequence_attempts);
+  EXPECT_EQ(count("fitness.evals.init_ffs") + count("fitness.evals.detect") +
+                count("fitness.evals.detect_activity") +
+                count("fitness.evals.sequences"),
+            evals);
+}
+
+TEST(FitnessMemo, OneInputCircuitSimulatesEachValueOncePerGaRun) {
+  // With one primary input a vector chromosome is a single binary gene, so a
+  // vector GA run holds at most two distinct chromosomes however many
+  // individuals it scores; the run's memo answers all the others.
+  const Circuit c = parse_bench_string(
+      "INPUT(a)\nOUTPUT(z)\nq1 = DFF(d1)\nq2 = DFF(d2)\n"
+      "d1 = XOR(a, q2)\nd2 = AND(a, q1)\nz = NOR(q1, q2)\n",
+      "one_input");
+  FaultList faults(c);
+  TestGenConfig cfg;
+  cfg.seed = 7;
+  cfg.enable_sequence_phase = false;
+  telemetry::RunTelemetry telem;
+  GaTestGenerator gen(c, faults, cfg);
+  gen.set_telemetry(&telem);
+  const TestGenResult res = gen.run();
+  auto count = [&](const char* name) {
+    return telem.metrics.counter(name).value();
+  };
+  const std::uint64_t runs = count("ga.runs");
+  const std::uint64_t sims = count("fitness.sim_evaluations");
+  ASSERT_GT(runs, 0u);
+  EXPECT_GT(res.faults_detected, 0u);
+  EXPECT_LE(sims, 2 * runs);
+  EXPECT_EQ(count("fsim.candidate_evaluations"), sims);
+  EXPECT_EQ(count("fitness.cache.hits") + sims, res.fitness_evaluations);
+  EXPECT_GT(count("fitness.cache.hits"), 8 * sims);
+}
+
+TEST(FitnessMemo, BudgetStopCountsHitsAtAnyThreadCount) {
+  // s1488 seed 1 stopped at 7000 evaluations: memo hits count toward the
+  // budget, so the stop lands on the same evaluation at 1 and 3 threads (3
+  // splits each batch's misses into uneven chunks), with 43% of the
+  // evaluations answered by the memo.
+  const Circuit c = benchmark_circuit("s1488");
+  auto run_with = [&](unsigned threads) {
+    FaultList faults(c);
+    TestGenConfig cfg;
+    cfg.seed = 1;
+    cfg.num_threads = threads;
+    GaTestGenerator gen(c, faults, cfg);
+    RunControl ctrl;
+    ctrl.budget.max_evaluations = 7000;
+    gen.set_run_control(ctrl);
+    telemetry::RunTelemetry telem;
+    gen.set_telemetry(&telem);
+    const TestGenResult res = gen.run();
+    auto count = [&](const char* name) {
+      return telem.metrics.counter(name).value();
+    };
+    EXPECT_EQ(res.stop_reason, StopReason::EvalLimit);
+    EXPECT_EQ(res.faults_detected, 1151u) << threads << " threads";
+    EXPECT_EQ(res.test_set.size(), 54u) << threads << " threads";
+    EXPECT_EQ(res.fitness_evaluations, 7008u) << threads << " threads";
+    EXPECT_EQ(count("fitness.sim_evaluations"), 4003u)
+        << threads << " threads";
+    EXPECT_EQ(count("fitness.cache.hits"), 3005u) << threads << " threads";
+    return res.test_set;
+  };
+  EXPECT_EQ(run_with(1), run_with(3));
 }
 
 /// Every selection/crossover combination from Table 3 must run end to end.

@@ -94,8 +94,7 @@ TEST(Protocol, SubmitMapsConfigAndBudget) {
   ASSERT_TRUE(parse_request(
       "{\"cmd\":\"submit\",\"profile\":\"s298\",\"name\":\"n1\","
       "\"config\":{\"seed\":42,\"gap\":0.5,\"selection\":\"tournament\","
-      "\"crossover\":\"uniform\",\"coding\":\"nonbinary\","
-      "\"fitness_cache\":true},"
+      "\"crossover\":\"uniform\",\"coding\":\"nonbinary\"},"
       "\"budget\":{\"max_evals\":500,\"max_vectors\":9}}",
       req, err))
       << err.code << ": " << err.message;
@@ -108,7 +107,6 @@ TEST(Protocol, SubmitMapsConfigAndBudget) {
             SelectionScheme::TournamentNoReplacement);
   EXPECT_EQ(req.submit.config.crossover, CrossoverScheme::Uniform);
   EXPECT_EQ(req.submit.config.sequence_coding, Coding::NonBinary);
-  EXPECT_TRUE(req.submit.config.fitness_cache);
   EXPECT_EQ(req.submit.budget.max_evaluations, 500u);
   EXPECT_EQ(req.submit.budget.max_vectors, 9u);
 }
@@ -479,7 +477,6 @@ TEST(Protocol, SubmitJsonRoundTripsThroughParser) {
   req.config.selection = SelectionScheme::TournamentNoReplacement;
   req.config.crossover = CrossoverScheme::Uniform;
   req.config.sequence_coding = Coding::NonBinary;
-  req.config.fitness_cache = true;
   req.budget.max_evaluations = 1234;
   req.budget.max_vectors = 99;
 
@@ -496,16 +493,15 @@ TEST(Protocol, SubmitJsonRoundTripsThroughParser) {
   EXPECT_EQ(parsed.submit.config.selection, req.config.selection);
   EXPECT_EQ(parsed.submit.config.crossover, req.config.crossover);
   EXPECT_EQ(parsed.submit.config.sequence_coding, req.config.sequence_coding);
-  EXPECT_EQ(parsed.submit.config.fitness_cache, req.config.fitness_cache);
   EXPECT_EQ(parsed.submit.budget.max_evaluations,
             req.budget.max_evaluations);
   EXPECT_EQ(parsed.submit.budget.max_vectors, req.budget.max_vectors);
 }
 
 TEST(Protocol, RetiredEngineKeysKeepTheirChecks) {
-  // "fsim_backend" and "lane_compaction" are no longer written, but older
-  // journal records carry them: accepted values parse (and are ignored),
-  // malformed ones are still structured bad-field errors.
+  // "fsim_backend", "lane_compaction" and "fitness_cache" are no longer
+  // written, but older journal records carry them: accepted values parse
+  // (and are ignored), malformed ones are still structured bad-field errors.
   const std::string prefix =
       "{\"cmd\":\"submit\",\"profile\":\"s27\",\"config\":";
   EXPECT_EQ(parse_error(prefix + "{\"fsim_backend\":\"warp\"}}").code,
@@ -513,16 +509,21 @@ TEST(Protocol, RetiredEngineKeysKeepTheirChecks) {
   EXPECT_EQ(parse_error(prefix + "{\"fsim_backend\":7}}").code, "bad-field");
   EXPECT_EQ(parse_error(prefix + "{\"lane_compaction\":\"yes\"}}").code,
             "bad-field");
+  EXPECT_EQ(parse_error(prefix + "{\"fitness_cache\":\"yes\"}}").code,
+            "bad-field");
   Request req;
   ProtocolError err;
   ASSERT_TRUE(parse_request(prefix + "{\"fsim_backend\":\"levelized\","
-                                     "\"lane_compaction\":true}}",
+                                     "\"lane_compaction\":true,"
+                                     "\"fitness_cache\":true}}",
                             req, err))
       << err.code << ": " << err.message;
   EXPECT_EQ(req.submit.config.fsim_backend, "event");
   EXPECT_EQ(submit_json(SubmitRequest{}).find("fsim_backend"),
             std::string::npos);
   EXPECT_EQ(submit_json(SubmitRequest{}).find("lane_compaction"),
+            std::string::npos);
+  EXPECT_EQ(submit_json(SubmitRequest{}).find("fitness_cache"),
             std::string::npos);
 }
 
@@ -826,7 +827,7 @@ TEST(Recovery, OlderRecordWithRetiredEngineKeysRecovers) {
       "{\"cmd\":\"submit\",\"profile\":\"s27\",\"config\":{\"seed\":9,"
       "\"sample\":0,\"threads\":1,\"gap\":1,\"selection\":\"tournament\","
       "\"crossover\":\"uniform\",\"coding\":\"binary\","
-      "\"fitness_cache\":false,\"lane_compaction\":true,"
+      "\"fitness_cache\":true,\"lane_compaction\":true,"
       "\"prune_untestable\":false,\"prune_proven\":false,"
       "\"fsim_backend\":\"levelized\"},\"budget\":{\"max_evals\":600}}";
   j.write(rec);

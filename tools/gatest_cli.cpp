@@ -86,8 +86,6 @@ namespace {
       "                      inert subset from the simulated universe\n"
       "                      (generated tests and detected faults stay\n"
       "                      bit-identical to an unpruned run)\n"
-      "  --fitness-cache     memoize genome fitness between commits (emitted\n"
-      "                      tests are bit-identical with or without it)\n"
       "\n"
       "run control (GA engines; SIGINT/SIGTERM stop cooperatively and flush):\n"
       "  --time-limit SEC    stop after SEC seconds of wall clock\n"
@@ -245,7 +243,6 @@ int main(int argc, char** argv) {
     else if (a == "--lint-only") lint_only = true;
     else if (a == "--prune-untestable") cfg.prune_untestable = true;
     else if (a == "--prune-proven") cfg.prune_proven = true;
-    else if (a == "--fitness-cache") cfg.fitness_cache = true;
     else if (a == "--compact") do_compact = true;
     else if (a == "--report") do_report = true;
     else if (a == "--out") out_file = arg_value(argc, argv, i);

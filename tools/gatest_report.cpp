@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   if (!stop_reason.empty() && stop_reason != "completed")
     std::printf("stopped early: %s\n", stop_reason.c_str());
   if (cache_hits + cache_misses > 0)
-    std::printf("fitness cache: %llu hits / %llu misses (%.1f%% hit rate)\n",
+    std::printf("fitness memo: %llu hits / %llu misses (%.1f%% hit rate)\n",
                 static_cast<unsigned long long>(cache_hits),
                 static_cast<unsigned long long>(cache_misses),
                 100.0 * static_cast<double>(cache_hits) /
