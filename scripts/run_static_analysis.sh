@@ -8,8 +8,10 @@
 #      std::random_device and unordered-container iteration in src/;
 #   1. clang-tidy over the library/tool sources (checks from .clang-tidy),
 #      via -DGATEST_CLANG_TIDY=ON so the exact compile flags are used;
-#   2. a warnings-as-errors build (-DGATEST_WERROR=ON) with the default
-#      toolchain — the repo must compile -Wall -Wextra clean;
+#   2. warnings-as-errors builds (-DGATEST_WERROR=ON) with the default
+#      toolchain, one of the default build type and one Release (-O3, where
+#      GCC's inlining raises warnings such as -Wrestrict that -O2 does not)
+#      — the repo must compile -Wall -Wextra clean in both;
 #   3. a ThreadSanitizer smoke: rebuild with GATEST_SANITIZE=thread and
 #      exercise the parallel fitness evaluation path (ThreadPool + one
 #      evaluator and scratch per thread, all reading one committed fault
@@ -42,6 +44,10 @@ fi
 echo "=== -Werror build ==="
 cmake -B build-werror -G Ninja -DGATEST_WERROR=ON
 cmake --build build-werror || fail=1
+echo "=== -Werror Release build ==="
+cmake -B build-werror-release -G Ninja -DGATEST_WERROR=ON \
+      -DCMAKE_BUILD_TYPE=Release
+cmake --build build-werror-release || fail=1
 
 # --- stage 3: ThreadSanitizer smoke ------------------------------------------
 echo "=== ThreadSanitizer smoke (parallel fitness evaluation, 4 threads) ==="
@@ -55,7 +61,7 @@ export TSAN_OPTIONS="halt_on_error=1"
 # pool, with every evaluator scoring against the one committed simulator
 # through its own scratch, interleaved with commits on the main thread and
 # the GA runs' fitness memos on it — with telemetry attached so the
-# metrics/trace/chunk-timing paths are exercised.
+# metrics/trace/per-thread busy-time paths are exercised.
 tsan_trace=$(mktemp /tmp/gatest_tsan.XXXXXX.jsonl)
 build-tsan/tools/gatest_atpg --profile s298 --engine ga --seed 1 \
     --threads 4 --max-evals 2000 --trace-out "$tsan_trace" \

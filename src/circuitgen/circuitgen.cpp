@@ -598,7 +598,8 @@ Circuit generate_circuit(const CircuitProfile& profile, std::uint64_t seed) {
     fin.reserve(pg.fanins.size());
     for (unsigned s : pg.fanins) fin.push_back(sig_to_id[s]);
     sig_to_id[proto.gate_signal(g)] =
-        c.add_gate(pg.type, "g" + std::to_string(g), std::move(fin));
+        c.add_gate(pg.type, std::string("g").append(std::to_string(g)),
+                   std::move(fin));
   }
   for (unsigned f = 0; f < proto.num_ffs; ++f)
     c.set_dff_input(sig_to_id[ff_signal_base + f], sig_to_id[proto.ff_data[f]]);

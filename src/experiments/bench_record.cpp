@@ -66,7 +66,8 @@ void RecordWriter::param(const std::string& key, double value) {
 }
 
 void RecordWriter::param(const std::string& key, const std::string& value) {
-  params_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  params_.emplace_back(
+      key, std::string("\"").append(json_escape(value)).append("\""));
 }
 
 void RecordWriter::begin_entry(const std::string& circuit,

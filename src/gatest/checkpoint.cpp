@@ -100,7 +100,7 @@ Checkpoint Checkpoint::read(std::istream& in) {
     std::string magic, ver;
     ss >> magic >> ver;
     if (magic != "gatest-checkpoint") corrupt("not a gatest checkpoint file");
-    if (ver != "v" + std::to_string(kFormatVersion))
+    if (ver != std::string("v").append(std::to_string(kFormatVersion)))
       corrupt("unsupported format version '" + ver + "' (this build reads v" +
               std::to_string(kFormatVersion) + ")");
   }

@@ -73,10 +73,11 @@ struct TestGenConfig {
   bool elitism = false;
 
   // ---- parallel fitness evaluation (paper §VI outlook) ---------------------
-  /// Number of threads evaluating candidate fitness concurrently (each gets
-  /// its own evaluator and simulator scratch, all scoring against the one
-  /// committed simulator; results are bit-identical to a serial run).
-  /// 1 = serial.
+  /// Number of threads evaluating candidate fitness concurrently: the
+  /// calling thread plus num_threads - 1 pool workers, each taking the next
+  /// unscored chromosome of a batch with its own evaluator and simulator
+  /// scratch, all scoring against the one committed simulator (results are
+  /// bit-identical to a serial run).  1 = serial, with no pool.
   unsigned num_threads = 1;
 
   // ---- ablation switches (DESIGN.md §6) -----------------------------------

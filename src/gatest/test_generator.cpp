@@ -33,7 +33,8 @@ GaTestGenerator::GaTestGenerator(const Circuit& c, FaultList& faults,
   depth_ = std::max(1u, c.sequential_depth());
   const unsigned threads = std::max(1u, config_.num_threads);
   evaluators_.assign(threads, FitnessEvaluator(*sim_));
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+  // The calling thread scores beside the pool's workers (parallel_for).
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
   std::vector<UntestableTag> heuristic_tags;
   if (config_.prune_untestable)
     heuristic_tags = analysis::classify_untestable(c, faults.faults());
@@ -298,47 +299,43 @@ const Individual& GaTestGenerator::run_ga(GeneticAlgorithm& ga, Phase phase) {
       slots.push_back(&it->second);
     }
     // Score each new chromosome once: inline on evaluators_[0] with one
-    // thread, else one contiguous chunk per evaluator on the pool.  Every
-    // evaluator scores against the same committed state with its own
-    // scratch, so the scores do not depend on the thread count.
+    // thread, else shared out by the pool, where participant `slot` scores
+    // on evaluators_[slot].  Every evaluator scores against the same
+    // committed state with its own scratch, so the scores do not depend on
+    // which thread takes which chromosome.
     const std::size_t n = misses.size();
-    const std::size_t sims = evaluators_.size();
-    const std::size_t chunk = (n + sims - 1) / sims;
-    const auto score_chunk = [&](std::size_t s) {
-      const std::size_t end = std::min(n, (s + 1) * chunk);
-      for (std::size_t i = s * chunk; i < end; ++i)
-        *misses[i].second = score(evaluators_[s], phase, *misses[i].first,
-                                  circuit_->num_inputs());
+    const auto score_miss = [&](std::size_t i, unsigned slot) {
+      *misses[i].second = score(evaluators_[slot], phase, *misses[i].first,
+                                circuit_->num_inputs());
     };
     if (!pool_) {
-      score_chunk(0);
-    } else if (n > 0) {
+      for (std::size_t i = 0; i < n; ++i) score_miss(i, 0);
+    } else {
+      // Each slot adds its items' time into its own entry (none without
+      // telemetry); the calling thread reads them once parallel_for has
+      // joined every participant.
       const bool timed = telem_ != nullptr;
-      if (timed) chunk_seconds_.assign(sims, 0.0);
-      std::size_t used = 0;
-      for (; used < sims && used * chunk < n; ++used) {
-        // Each task writes its wall time into its own slot; the main thread
-        // reads them only after wait_idle()'s join, so this is race-free.
-        pool_->submit([&, s = used] {
-          Timer chunk_timer;
-          score_chunk(s);
-          if (timed) chunk_seconds_[s] = chunk_timer.elapsed_seconds();
-        });
+      busy_seconds_.assign(timed ? evaluators_.size() : 0, 0.0);
+      pool_->parallel_for(n, [&](std::size_t i, unsigned slot) {
+        if (!timed) return score_miss(i, slot);
+        Timer item_timer;
+        score_miss(i, slot);
+        busy_seconds_[slot] += item_timer.elapsed_seconds();
+      });
+      double sum = 0.0, max = 0.0;
+      std::size_t participants = 0;
+      for (const double busy : busy_seconds_) {
+        if (busy == 0.0) continue;  // woke after the last item was claimed
+        ++participants;
+        sum += busy;
+        max = std::max(max, busy);
+        telem_->metrics.histogram("parallel.chunk_seconds").observe(busy);
       }
-      pool_->wait_idle();  // rethrows the first worker exception, if any
-      if (timed && used > 1) {
-        double sum = 0.0, max = 0.0;
-        for (std::size_t s = 0; s < used; ++s) {
-          sum += chunk_seconds_[s];
-          max = std::max(max, chunk_seconds_[s]);
-          telem_->metrics.histogram("parallel.chunk_seconds")
-              .observe(chunk_seconds_[s]);
-        }
-        // max/mean across the batch's chunks: 1.0 = perfectly balanced.
-        if (sum > 0.0)
-          telem_->metrics.histogram("parallel.imbalance_ratio")
-              .observe(max * static_cast<double>(used) / sum);
-      }
+      // max/mean busy time across the batch's participating threads:
+      // 1.0 = perfectly balanced.
+      if (participants > 1)
+        telem_->metrics.histogram("parallel.imbalance_ratio")
+            .observe(max * static_cast<double>(participants) / sum);
     }
     for (std::size_t i = 0; i < batch.size(); ++i) out[i] = *slots[i];
     phase_evals_[static_cast<std::size_t>(phase) - 1] += batch.size();

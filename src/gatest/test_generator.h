@@ -168,7 +168,7 @@ class GaTestGenerator {
 
   /// Run one GA scoring its chromosomes under `phase`.  A memo kept for
   /// this one run answers repeated chromosomes; the others are scored on
-  /// evaluators_[0], or in one chunk per evaluator on the pool.
+  /// evaluators_[0], or shared out by parallel_for on evaluators_[slot].
   const Individual& run_ga(GeneticAlgorithm& ga, Phase phase);
 
   // ---- telemetry (all no-ops when telem_ == nullptr) ----------------------
@@ -199,7 +199,7 @@ class GaTestGenerator {
   /// config_.fsim_backend), so a stale engine name throws at construction.
   std::unique_ptr<SequentialFaultSimulator> sim_;
   /// One evaluator per evaluation thread (config_.num_threads), each with
-  /// its own simulator scratch; [0] also serves the serial path.
+  /// its own simulator scratch; [0] is the calling thread's.
   std::vector<FitnessEvaluator> evaluators_;
   /// Fitness evaluations per phase (index Phase - 1): every individual a GA
   /// scored, memo hits included, so budgets and checkpoints count the same
@@ -229,8 +229,8 @@ class GaTestGenerator {
   std::atomic<bool> slice_requested_{false};
   std::size_t slice_start_vectors_ = 0;  // test-set size when run() started
 
-  // Parallel evaluation (config_.num_threads > 1): batch chunk k runs on a
-  // pool thread with evaluators_[k].
+  // Parallel evaluation (config_.num_threads > 1): num_threads - 1 workers
+  // score beside the calling thread; parallel_for slot k uses evaluators_[k].
   std::unique_ptr<ThreadPool> pool_;
 
   // Telemetry (borrowed; nullptr = disabled).  The open-phase bookkeeping
@@ -242,7 +242,7 @@ class GaTestGenerator {
   std::size_t open_phase_detected_ = 0;  ///< faults detected at phase_begin
   std::size_t open_phase_vectors_ = 0;   ///< test-set size at phase_begin
   std::uint64_t open_phase_span_ = 0;    ///< trace span id of the open phase
-  std::vector<double> chunk_seconds_;    ///< parallel per-chunk wall times
+  std::vector<double> busy_seconds_;     ///< per-slot scoring time in a batch
 };
 
 }  // namespace gatest

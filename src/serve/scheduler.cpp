@@ -16,6 +16,22 @@ namespace gatest::serve {
 using telemetry::TraceField;
 using telemetry::TraceValue;
 
+namespace {
+
+/// The name parse_bench_string gives a submitted .bench netlist.
+std::string bench_name(const SubmitRequest& req) {
+  return req.name.empty() ? "bench" : req.name;
+}
+
+/// Build the circuit a submit request names: a profile or inline .bench.
+std::unique_ptr<Circuit> build_circuit(const SubmitRequest& req) {
+  return std::make_unique<Circuit>(
+      req.profile.empty() ? parse_bench_string(req.bench_text, bench_name(req))
+                          : benchmark_circuit(req.profile));
+}
+
+}  // namespace
+
 const char* to_string(JobState s) {
   switch (s) {
     case JobState::Queued:    return "queued";
@@ -149,13 +165,7 @@ std::uint64_t JobManager::submit(const SubmitRequest& req, ProtocolError& err,
   // Build the circuit outside the lock; this is the expensive, fallible part.
   std::unique_ptr<Circuit> circuit;
   try {
-    if (!req.profile.empty()) {
-      circuit = std::make_unique<Circuit>(benchmark_circuit(req.profile));
-    } else {
-      circuit = std::make_unique<Circuit>(
-          parse_bench_string(req.bench_text, req.name.empty() ? "bench"
-                                                              : req.name));
-    }
+    circuit = build_circuit(req);
   } catch (const std::exception& e) {
     err = {"bad-field", e.what()};
     return 0;
@@ -204,6 +214,7 @@ std::uint64_t JobManager::submit(const SubmitRequest& req, ProtocolError& err,
   j.client = client;
   j.spec = req;
   j.submit_line = submit_json(req);
+  j.circuit_name = circuit->name();
   j.circuit = std::move(circuit);
   j.submitted = std::chrono::steady_clock::now();
   // Durable ack: with a journal, the job exists only once its record is
@@ -228,7 +239,7 @@ std::uint64_t JobManager::submit(const SubmitRequest& req, ProtocolError& err,
       j, "job_submit",
       {{"job", TraceValue(static_cast<unsigned long long>(id))},
        {"name", TraceValue(j.spec.name)},
-       {"circuit", TraceValue(j.circuit->name())},
+       {"circuit", TraceValue(j.circuit_name)},
        {"queue_depth",
         TraceValue(static_cast<unsigned long long>(queue_.size()))}});
   lk.unlock();
@@ -296,7 +307,7 @@ void JobManager::worker_loop(telemetry::Gauge& busy) {
         job->started_once = true;
         job_event(*job, "job_start",
                   {{"job", TraceValue(static_cast<unsigned long long>(id))},
-                   {"circuit", TraceValue(job->circuit->name())}});
+                   {"circuit", TraceValue(job->circuit_name)}});
       }
     }
     busy.set(1.0);
@@ -457,7 +468,7 @@ JobSnapshot JobManager::snapshot_locked(const Job& job) const {
   JobSnapshot s;
   s.id = job.id;
   s.name = job.spec.name;
-  s.circuit = job.circuit->name();
+  s.circuit = job.circuit_name;
   s.state = job.state;
   s.slices = job.slices;
   s.error = job.error;
@@ -642,22 +653,19 @@ void JobManager::recover_from_journal_locked() {
       j.id = rec.id;
       j.spec = req.submit;
       j.submit_line = rec.submit_line;
-      if (!j.spec.profile.empty()) {
-        j.circuit =
-            std::make_unique<Circuit>(benchmark_circuit(j.spec.profile));
-      } else {
-        j.circuit = std::make_unique<Circuit>(parse_bench_string(
-            j.spec.bench_text,
-            j.spec.name.empty() ? "bench" : j.spec.name));
-      }
+      // A finished job only reports its circuit's name, so only a job that
+      // will run again pays for building the circuit.
+      j.circuit_name =
+          j.spec.profile.empty() ? bench_name(j.spec) : j.spec.profile;
       j.submitted = std::chrono::steady_clock::now();
       j.slices = rec.slices;
       if (rec.state == "queued") {
+        j.circuit = build_circuit(j.spec);
         if (!rec.checkpoint_text.empty()) {
           try {
             std::istringstream cs(rec.checkpoint_text);
             Checkpoint cp = Checkpoint::read(cs);
-            if (cp.circuit_name != j.circuit->name())
+            if (cp.circuit_name != j.circuit_name)
               throw std::runtime_error("checkpoint is for circuit '" +
                                        cp.circuit_name + "'");
             if (cp.seed != j.spec.config.seed)
@@ -680,7 +688,7 @@ void JobManager::recover_from_journal_locked() {
         open_job_trace_locked(
             j, "job_recover",
             {{"job", TraceValue(static_cast<unsigned long long>(j.id))},
-             {"circuit", TraceValue(j.circuit->name())},
+             {"circuit", TraceValue(j.circuit_name)},
              {"vectors",
               TraceValue(static_cast<unsigned long long>(j.last_vectors))},
              {"slices",

@@ -204,6 +204,8 @@ class JobManager {
     std::uint64_t client = 0;  ///< submitting connection, for quota release
     SubmitRequest spec;
     std::string submit_line;  ///< spec re-serialized once, for the journal
+    std::string circuit_name;  ///< what snapshots and traces report
+    /// Built at submit, and at recovery only for a job that still runs.
     std::unique_ptr<Circuit> circuit;
     JobState state = JobState::Queued;
     std::optional<Checkpoint> cp;  ///< present between slices

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 namespace gatest {
@@ -40,26 +41,35 @@ void ThreadPool::wait_idle() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  // Block-partition the index space: one task per worker keeps the
-  // scheduling overhead negligible for the small, uniform batches the GA
-  // produces.
-  const std::size_t n_tasks = std::min<std::size_t>(count, workers_.size());
-  if (n_tasks <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+void ThreadPool::parallel_for(
+    std::size_t count,
+    const std::function<void(std::size_t, unsigned)>& fn) {
+  const auto slots = static_cast<unsigned>(
+      std::min<std::size_t>(count, workers_.size() + 1));
+  if (slots <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i, 0);
     return;
   }
-  const std::size_t chunk = (count + n_tasks - 1) / n_tasks;
-  for (std::size_t t = 0; t < n_tasks; ++t) {
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    if (begin >= end) break;
-    submit([=, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
+  std::atomic<std::size_t> next{0};
+  const auto participate = [&](unsigned slot) {
+    for (std::size_t i = next++; i < count; i = next++) fn(i, slot);
+  };
+  std::exception_ptr error;
+  try {
+    for (unsigned s = 1; s < slots; ++s)
+      submit([&participate, s] { participate(s); });
+    participate(0);
+  } catch (...) {
+    error = std::current_exception();
   }
-  wait_idle();
+  // The workers' tasks refer to this frame, so wait for every one of them
+  // even when a submit or the calling thread's own item threw.
+  try {
+    wait_idle();
+  } catch (...) {
+    if (!error) error = std::current_exception();
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {

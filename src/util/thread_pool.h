@@ -3,8 +3,10 @@
 // The paper's conclusion notes that GAs are "particularly amenable to
 // parallel implementations"; gatest::GaTestGenerator uses this pool to
 // evaluate a population's candidates concurrently (one fitness evaluator per
-// worker, all reading one fault simulator).  The pool is deliberately
-// simple: submit tasks, wait for all.
+// participating thread, all reading one fault simulator).  The pool is
+// deliberately simple: submit tasks and wait for all, or share out an index
+// range with parallel_for, where the calling thread works beside the
+// workers and each participant claims the next unclaimed index.
 #pragma once
 
 #include <condition_variable>
@@ -39,11 +41,20 @@ class ThreadPool {
   /// usable afterwards.
   void wait_idle();
 
-  /// Convenience: run fn(i) for i in [0, count) across the pool and wait.
-  /// fn must be safe to call concurrently for distinct i.  Rethrows the
-  /// first exception thrown by any fn(i), like wait_idle().
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
+  /// Run fn(index, slot) once for every index in [0, count) and wait.  The
+  /// calling thread takes part as slot 0, and up to min(count, size() + 1)
+  /// - 1 workers join it as slots 1, 2, ...; each participant claims the
+  /// next unclaimed index until none is left, so a slow item holds up only
+  /// its own participant.  A slot runs on one thread for the whole call, so
+  /// per-slot state needs no lock; fn must be safe to call concurrently for
+  /// distinct slots.  With count <= 1 the item runs on the calling thread
+  /// and no task is submitted.  An item that throws ends only its own
+  /// participant (the others finish the remaining items).  Once every
+  /// participant has stopped, the calling thread's exception is rethrown,
+  /// else the first a worker threw.
+  void parallel_for(
+      std::size_t count,
+      const std::function<void(std::size_t index, unsigned slot)>& fn);
 
  private:
   void worker_loop();

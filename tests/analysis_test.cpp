@@ -256,7 +256,8 @@ TEST(Lint, ExcessiveFanoutFlaggedAtThreshold) {
   const GateId a = c.add_input("a");
   std::vector<GateId> bufs;
   for (int i = 0; i < 5; ++i)
-    bufs.push_back(c.add_gate(GateType::Buf, "b" + std::to_string(i), {a}));
+    bufs.push_back(c.add_gate(
+        GateType::Buf, std::string("b").append(std::to_string(i)), {a}));
   for (GateId b : bufs) c.add_output(b);
   c.finalize();
   analysis::LintOptions opts;

@@ -14,7 +14,7 @@ Circuit single_gate(GateType t, unsigned inputs) {
   Circuit c("g");
   std::vector<GateId> pis;
   for (unsigned i = 0; i < inputs; ++i)
-    pis.push_back(c.add_input("i" + std::to_string(i)));
+    pis.push_back(c.add_input(std::string("i").append(std::to_string(i))));
   const GateId g = c.add_gate(t, "g", pis);
   c.add_output(g);
   c.finalize();

@@ -20,6 +20,7 @@
 #include "circuitgen/circuitgen.h"
 #include "fault/fault.h"
 #include "gatest/test_generator.h"
+#include "netlist/bench_io.h"
 #include "serve/client.h"
 #include "serve/http.h"
 #include "serve/journal.h"
@@ -734,38 +735,50 @@ TEST(Recovery, TerminalResultsSurviveRestart) {
   cfg.slice_seconds = 0.0;
   cfg.state_dir = dir.string();
 
-  std::uint64_t id = 0;
-  std::vector<std::string> first;
+  // One profile job and one inline-.bench job: a restart rebuilds neither
+  // circuit, so each reports the name its spec gives.
+  std::vector<SubmitRequest> reqs(2);
+  reqs[0].profile = "s27";
+  reqs[1].name = "inline27";
+  reqs[1].bench_text = write_bench_string(make_s27());
+  std::vector<std::uint64_t> ids;
+  std::vector<JobSnapshot> before(reqs.size());
+  std::vector<std::vector<std::string>> first(reqs.size());
   {
     JobManager jm(cfg);
     jm.start();
     ProtocolError err;
-    SubmitRequest req;
-    req.profile = "s27";
-    req.config.seed = 3;
-    req.budget.max_evaluations = 300;
-    id = jm.submit(req, err);
-    ASSERT_NE(id, 0u);
-    wait_all_terminal(jm, 1);
-    JobSnapshot snap;
-    ASSERT_TRUE(jm.result(id, snap, first, err));
+    for (SubmitRequest& req : reqs) {
+      req.config.seed = 3;
+      req.budget.max_evaluations = 300;
+      ids.push_back(jm.submit(req, err));
+      ASSERT_NE(ids.back(), 0u) << err.message;
+    }
+    wait_all_terminal(jm, reqs.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      ASSERT_TRUE(jm.result(ids[i], before[i], first[i], err));
+    EXPECT_EQ(before[0].circuit, "s27");
+    EXPECT_EQ(before[1].circuit, "inline27");
     jm.shutdown();
   }
   {
     JobManager jm(cfg);
     jm.start();
-    // The job is already terminal on disk: no re-run, result immediately
-    // available, and the id space continues after it.
-    JobSnapshot snap;
-    std::vector<std::string> again;
+    // The jobs are already terminal on disk: no re-run, results immediately
+    // available, and the id space continues after them.
     ProtocolError err;
-    ASSERT_TRUE(jm.result(id, snap, again, err)) << err.message;
-    EXPECT_EQ(snap.state, JobState::Done);
-    EXPECT_EQ(again, first);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      JobSnapshot snap;
+      std::vector<std::string> again;
+      ASSERT_TRUE(jm.result(ids[i], snap, again, err)) << err.message;
+      EXPECT_EQ(snap.state, JobState::Done);
+      EXPECT_EQ(snap.circuit, before[i].circuit);
+      EXPECT_EQ(again, first[i]);
+    }
     SubmitRequest req;
     req.profile = "s27";
     req.budget.max_evaluations = 100;
-    EXPECT_GT(jm.submit(req, err), id);
+    EXPECT_GT(jm.submit(req, err), ids.back());
     jm.shutdown();
   }
 }
@@ -919,8 +932,7 @@ TEST(Torture, CrashRestartCyclesLoseNoJobsAndServeExactBits) {
            submitted < 2 * (static_cast<std::size_t>(cycle) + 1)) {
       SubmitRequest req;
       req.profile = "s27";
-      req.name = "t";
-      req.name += std::to_string(submitted);
+      req.name = std::string("t").append(std::to_string(submitted));
       req.config.seed = 100 + submitted;
       req.budget.max_evaluations = kMaxEvals;
       std::uint64_t id = 0;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "util/thread_pool.h"
 
@@ -249,16 +252,21 @@ TEST(ThreadPool, ParallelForCoversEveryIndex) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);
   pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+                    [&](std::size_t i, unsigned) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyAndSingle) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
+  // A single item runs on the calling thread, as slot 0, however many
+  // workers the pool holds.
+  ThreadPool pool(3);
+  pool.parallel_for(0, [](std::size_t, unsigned) { FAIL(); });
+  const std::thread::id caller = std::this_thread::get_id();
   int calls = 0;
-  pool.parallel_for(1, [&](std::size_t i) {
+  pool.parallel_for(1, [&](std::size_t i, unsigned slot) {
     EXPECT_EQ(i, 0u);
+    EXPECT_EQ(slot, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     ++calls;
   });
   EXPECT_EQ(calls, 1);
@@ -273,7 +281,8 @@ TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
-  pool.parallel_for(64, [&](std::size_t) { counter.fetch_add(1); });
+  pool.parallel_for(64,
+                    [&](std::size_t, unsigned) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 64);
 }
 
@@ -321,15 +330,77 @@ TEST(ThreadPool, ParallelForRethrowsFirstException) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   EXPECT_THROW(pool.parallel_for(64,
-                                 [&ran](std::size_t i) {
+                                 [&ran](std::size_t i, unsigned) {
                                    if (i == 37)
                                      throw std::invalid_argument("bad index");
                                    ++ran;
                                  }),
                std::invalid_argument);
-  // The throwing chunk stops at index 37; the other chunks complete.
+  // The participant that claimed index 37 stops there; the others finish
+  // every remaining index.
   EXPECT_GE(ran.load(), 48);
   EXPECT_LT(ran.load(), 64);
+}
+
+TEST(ThreadPool, ParallelForSlotsAreThreadsAndIndicesRunOnce) {
+  // The calling thread is slot 0 and only slot 0; every other slot is one
+  // worker thread for the whole call, and no slot reaches
+  // min(count, size() + 1).
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t count : {2u, 3u, 257u}) {
+    const unsigned limit =
+        static_cast<unsigned>(std::min<std::size_t>(count, pool.size() + 1));
+    std::vector<std::atomic<int>> hits(count);
+    std::vector<std::thread::id> slot_thread(limit);
+    std::mutex mu;
+    pool.parallel_for(count, [&](std::size_t i, unsigned slot) {
+      hits[i].fetch_add(1);
+      ASSERT_LT(slot, limit) << "count " << count;
+      const std::thread::id self = std::this_thread::get_id();
+      EXPECT_EQ(slot == 0, self == caller) << "slot " << slot;
+      std::lock_guard<std::mutex> lock(mu);
+      if (slot_thread[slot] == std::thread::id()) slot_thread[slot] = self;
+      EXPECT_EQ(slot_thread[slot], self) << "slot " << slot << " moved";
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "count " << count;
+  }
+}
+
+TEST(ThreadPool, ParallelForWaitsForWorkersBeforeRethrowing) {
+  // The calling thread's item throws while the workers' items still run:
+  // the exception must reach the caller only after they have finished
+  // (their tasks refer to the caller's frame), and the throw ends only the
+  // caller's share, so the workers also run every index it left.  Any
+  // participant may claim any index, so the behaviour keys on the slot.
+  // Each worker item waits until the caller has entered its item, so the
+  // workers cannot claim every index before the caller claims one.
+  ThreadPool pool(3);
+  constexpr int kItems = 6;
+  std::atomic<bool> caller_started{false}, worker_started{false};
+  std::atomic<int> finished{0};
+  try {
+    pool.parallel_for(kItems, [&](std::size_t, unsigned slot) {
+      if (slot == 0) {
+        caller_started.store(true);
+        while (!worker_started.load()) std::this_thread::yield();
+        throw std::runtime_error("caller boom");
+      }
+      worker_started.store(true);
+      while (!caller_started.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      finished.fetch_add(1);
+    });
+    FAIL() << "parallel_for should rethrow the calling thread's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller boom");
+  }
+  EXPECT_EQ(finished.load(), kItems - 1);
+  // The pool stays usable, with no stale error left for the next wait.
+  std::atomic<int> counter{0};
+  pool.parallel_for(16, [&](std::size_t, unsigned) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 16);
+  pool.wait_idle();
 }
 
 TEST(RunControl, StopTokenIsStickyUntilReset) {
