@@ -18,11 +18,12 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # evaluators sharing one committed simulator).
 scripts/run_static_analysis.sh
 
-# Sanitized run-control smoke: build the CLI with ASan+UBSan and assert that
-# a time-limited run (budget stop + checkpoint flush) exits cleanly.
+# Sanitized run-control smoke: build the CLI with ASan+UBSan (and libstdc++'s
+# bounds assertions) and assert that a time-limited run (budget stop +
+# checkpoint flush) exits cleanly.
 echo "=== sanitized run-control smoke (s298, 5s budget) ==="
 cmake -B build-sanitize -G Ninja -DGATEST_SANITIZE="address;undefined" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 cmake --build build-sanitize --target gatest_atpg_cli
 smoke_ckpt=$(mktemp /tmp/gatest_smoke.XXXXXX.ckpt)
 build-sanitize/tools/gatest_atpg --profile s298 --time-limit 5 \
@@ -34,13 +35,17 @@ rm -f "$smoke_ckpt" "$smoke_ckpt.tmp"
 # naive reference, the packed simulator and the packed simulator with proven
 # pruning — detection sets and every fitness observable, for committed
 # vectors and for scored candidate sequences, must agree exactly while the
-# sanitizers watch the packed kernel.  The concurrent-evaluation test runs
-# alongside: four threads, each with its own scratch, scoring against one
-# committed simulator.
-echo "=== sanitized differential fuzz + concurrent evaluation ==="
-cmake --build build-sanitize --target fsim_test
+# sanitizers watch the packed kernel.  The simulator contract (collapsed and
+# uncollapsed universes, both fault models) and the concurrent-evaluation
+# test run alongside: four threads, each with its own scratch, scoring
+# against one committed simulator.  sim_test runs every gate type's compiled
+# op at fanins 0-6 and the pin accessor, so an op index past its word array
+# or a pin-injected gate's word read out of bounds trips here.
+echo "=== sanitized differential fuzz, gate ops + concurrent evaluation ==="
+cmake --build build-sanitize --target fsim_test sim_test
+build-sanitize/tests/sim_test
 build-sanitize/tests/fsim_test \
-    --gtest_filter='FsimDifferentialFuzz*:*ConcurrentEvaluationMatchesSerial*'
+    --gtest_filter='FsimDifferentialFuzz*:*ConcurrentEvaluationMatchesSerial*:*FsimUncollapsedTest*:*FsimContractTest*'
 
 # Line-coverage summary for the hot-path libraries (gcov-based; skips
 # itself gracefully when gcov is unavailable).  DESIGN.md documents the

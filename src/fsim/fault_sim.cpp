@@ -1,6 +1,7 @@
 #include "fsim/fault_sim.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -8,7 +9,7 @@ namespace gatest {
 
 SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
                                                    FaultList& faults)
-    : circuit_(&c), faults_(&faults) {
+    : circuit_(&c), faults_(&faults), ops_(c.num_gates()) {
   if (!c.finalized())
     throw std::runtime_error("SequentialFaultSimulator: circuit not finalized");
   if (&faults.circuit() != &c)
@@ -17,7 +18,6 @@ SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
 
   std::size_t edges = 0;
   for (const Gate& g : c.gates()) edges += g.fanins.size();
-  fanins_.reserve(edges);
   readers_.reserve(edges);
   comb_order_.reserve(c.num_gates());
   ff_din_.reserve(c.num_dffs());
@@ -27,9 +27,7 @@ SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
     FlatGate& fg = gates_[id];
     fg.type = g.type;
     fg.level = g.level;
-    fg.fanin_begin = static_cast<std::uint32_t>(fanins_.size());
-    fg.num_fanins = static_cast<std::uint32_t>(g.fanins.size());
-    fanins_.insert(fanins_.end(), g.fanins.begin(), g.fanins.end());
+    ops_.add(g.type, g.fanins);
     fg.reader_begin = static_cast<std::uint32_t>(readers_.size());
     for (GateId out : g.fanouts)
       if (!is_combinational_source(c.gate(out).type)) readers_.push_back(out);
@@ -74,6 +72,7 @@ SequentialFaultSimulator::SequentialFaultSimulator(const Circuit& c,
     }
   }
   diffs_.resize(faults.size());
+  diverged_.assign(faults.size(), 0);
   good_val_.assign(c.num_gates(), Logic::X);
   seed_const_nets(good_val_);
   prev_val_ = good_val_;
@@ -89,6 +88,7 @@ void SequentialFaultSimulator::reset() {
   seed_const_nets(good_val_);
   prev_val_ = good_val_;
   for (auto& d : diffs_) d.clear();
+  std::fill(diverged_.begin(), diverged_.end(), 0);
 }
 
 std::vector<Logic> SequentialFaultSimulator::good_ff_state() const {
@@ -116,12 +116,16 @@ FaultSimSnapshot SequentialFaultSimulator::snapshot() const {
 
 void SequentialFaultSimulator::restore(const FaultSimSnapshot& s) {
   if (s.good_values.size() != good_val_.size() ||
+      s.prev_values.size() != prev_val_.size() ||
+      s.diffs.size() != diffs_.size() ||
       s.status.size() != faults_->size() ||
       s.detected_by.size() != faults_->size())
     throw std::runtime_error("restore: snapshot shape mismatch");
   good_val_ = s.good_values;
   prev_val_ = s.prev_values;
   diffs_ = s.diffs;
+  for (std::size_t i = 0; i < diffs_.size(); ++i)
+    diverged_[i] = !diffs_[i].empty();
   faults_->import_status(s.status, s.detected_by);
 }
 
@@ -146,15 +150,18 @@ void SequentialFaultSimulator::write_diff(std::uint32_t fi,
       ctx.s->scratch_dirty_list_.push_back(fi);
     }
   }
+  ctx.diverged[fi] = !d.empty();
 }
 
 void SequentialFaultSimulator::fit_frame_buffers(FaultSimScratch& s) const {
   const std::size_t n = gates_.size();
-  if (s.fval_.size() == n && s.ff_mark_.size() == ff_din_.size() &&
+  if (s.fval_.size() == ops_.num_words() &&
+      s.ff_mark_.size() == ff_din_.size() &&
       s.flevel_queue_.size() == circuit_->num_levels())
     return;
-  s.gval_.assign(n, PackedVal{});
-  s.fval_.assign(n, PackedVal{});
+  s.gval_.assign(ops_.num_words(), PackedVal{});
+  ops_.seed_identity_words(s.gval_);
+  s.fval_ = s.gval_;
   s.ftouched_.assign(n, 0);
   s.fqueued_.assign(n, 0);
   s.flevel_queue_.assign(circuit_->num_levels(), {});
@@ -162,7 +169,6 @@ void SequentialFaultSimulator::fit_frame_buffers(FaultSimScratch& s) const {
   s.out_inj_.assign(n, {});
   s.pin_head_.assign(n, FaultSimScratch::kNoPinInj);
   s.ff_mark_.assign(ff_din_.size(), 0);
-  s.group_.reserve(kFaultSimLanes);
   s.new_diffs_.assign(kFaultSimLanes, {});
 }
 
@@ -173,10 +179,12 @@ void SequentialFaultSimulator::prepare(FaultSimScratch& s) const {
   s.eval_detected_list_.clear();
   fit_frame_buffers(s);
   const std::size_t nf = faults_->size();
-  if (s.scratch_dirty_.size() == nf) return;
-  s.scratch_diffs_.assign(nf, {});
-  s.scratch_dirty_.assign(nf, 0);
-  s.eval_detected_.assign(nf, 0);
+  if (s.scratch_dirty_.size() != nf) {
+    s.scratch_diffs_.assign(nf, {});
+    s.scratch_dirty_.assign(nf, 0);
+    s.eval_detected_.assign(nf, 0);
+  }
+  s.diverged_ = diverged_;
 }
 
 /// Value the faulty machine sees on the faulted line this frame, given the
@@ -184,8 +192,8 @@ void SequentialFaultSimulator::prepare(FaultSimScratch& s) const {
 ///   stuck-at:      the stuck constant;
 ///   slow-to-rise:  the line shows 1 only if it was already 1 (AND);
 ///   slow-to-fall:  the line shows 0 only if it was already 0 (OR).
-Logic SequentialFaultSimulator::forced_value(Injection kind, Logic cur,
-                                             Logic prev) {
+constexpr Logic SequentialFaultSimulator::forced_value(Injection kind,
+                                                       Logic cur, Logic prev) {
   switch (kind) {
     case Injection::Stuck0:     return Logic::Zero;
     case Injection::Stuck1:     return Logic::One;
@@ -195,22 +203,12 @@ Logic SequentialFaultSimulator::forced_value(Injection kind, Logic cur,
   return Logic::X;
 }
 
-bool SequentialFaultSimulator::fault_is_active(std::uint32_t fi,
-                                               const EvalContext& ctx) const {
-  if (!diff_of(fi, ctx).empty()) return true;
-  const GateId site = fault_site_[fi];
-  const Logic good = (*ctx.val)[site];
-  // No deviation possible when the forced value provably equals the good
-  // value; X on either side might deviate, so simulate.
-  return !(is_binary(good) &&
-           forced_value(fault_kind_[fi], good, (*ctx.prev)[site]) == good);
-}
-
 FaultSimStats SequentialFaultSimulator::apply_vector(const TestVector& v,
                                                      std::int64_t test_index) {
   fit_frame_buffers(commit_scratch_);
   const EvalContext ctx{.s = &commit_scratch_, .val = &good_val_,
                         .prev = &prev_val_, .committed_diffs = &diffs_,
+                        .diverged = diverged_.data(),
                         .test_index = test_index};
   ++commit_scratch_.counters_.vectors_committed;
   faults_->undetected_indices(commit_scratch_.active_);
@@ -262,7 +260,8 @@ FaultSimStats SequentialFaultSimulator::evaluate_sequence(
   scratch.eval_val_ = good_val_;
   scratch.eval_prev_val_ = prev_val_;
   EvalContext ctx{.s = &scratch, .val = &scratch.eval_val_,
-                  .prev = &scratch.eval_prev_val_};
+                  .prev = &scratch.eval_prev_val_,
+                  .diverged = scratch.diverged_.data()};
 
   std::vector<std::uint32_t>& active = scratch.active_;
   if (fault_subset.empty()) {
@@ -322,30 +321,28 @@ void SequentialFaultSimulator::settle_good(const TestVector& v,
                                            const EvalContext& ctx,
                                            FaultSimStats& stats) const {
   const Circuit& c = *circuit_;
-  std::vector<Logic>& val = *ctx.val;
-  std::vector<PackedVal>& gval = ctx.s->gval_;
+  Logic* val = ctx.val->data();
+  PackedVal* gval = ctx.s->gval_.data();
+  std::uint64_t events = 0;
   const auto& inputs = c.inputs();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (val[inputs[i]] != v[i]) ++stats.good_events;
+    events += val[inputs[i]] != v[i];
     val[inputs[i]] = v[i];
     gval[inputs[i]] = PackedVal::broadcast(v[i]);
   }
   for (GateId ff : c.dffs()) gval[ff] = PackedVal::broadcast(val[ff]);
   for (GateId id : const_nets_) gval[id] = PackedVal::broadcast(val[id]);
-  // Every lane of a broadcast word evaluates the same scalar gate, so lane 0
-  // of the result is the scalar value.
+  // Every gate, every frame, with no branch: every lane of a broadcast word
+  // evaluates the same scalar gate, so lane 0 of the result is the scalar
+  // value, and an event is a scalar value that changed.
   for (GateId id : comb_order_) {
-    const FlatGate& g = gates_[id];
-    const GateId* in = fanins_.data() + g.fanin_begin;
-    const PackedVal nv = eval_packed_gate(
-        g.type, g.num_fanins, [&](std::size_t i) { return gval[in[i]]; });
+    const PackedVal nv = ops_.eval(id, gval);
     gval[id] = nv;
     const Logic lv = nv.lane(0);
-    if (val[id] != lv) {
-      ++stats.good_events;
-      val[id] = lv;
-    }
+    events += val[id] != lv;
+    val[id] = lv;
   }
+  stats.good_events += events;
 }
 
 void SequentialFaultSimulator::latch_good(const EvalContext& ctx,
@@ -369,43 +366,66 @@ void SequentialFaultSimulator::latch_good(const EvalContext& ctx,
 
 void SequentialFaultSimulator::simulate_fault_groups(
     const EvalContext& ctx, FaultSimStats& stats) const {
+  // PROOFS' activity check as a table: 1 where a fault whose machine has
+  // not diverged can still deviate this frame, indexed by (injection kind,
+  // good value, previous good value) of its line.  No deviation is possible
+  // when the forced value provably equals a binary good value; X on either
+  // side might deviate.
+  static constexpr std::array<std::uint8_t, 64> kExcites = [] {
+    std::array<std::uint8_t, 64> t{};
+    for (unsigned kind = 0; kind < 4; ++kind)
+      for (unsigned good = 0; good < 3; ++good)
+        for (unsigned prev = 0; prev < 3; ++prev) {
+          const Logic g = static_cast<Logic>(good);
+          t[kind << 4 | good << 2 | prev] =
+              !(is_binary(g) && forced_value(static_cast<Injection>(kind), g,
+                                             static_cast<Logic>(prev)) == g);
+        }
+    return t;
+  }();
   FaultSimScratch& s = *ctx.s;
-  const auto dropped = [&](std::uint32_t fi) {
-    return ctx.commit() ? faults_->status(fi) != FaultStatus::Undetected
-                        : s.eval_detected_[fi] != 0;
-  };
+  const Logic* val = ctx.val->data();
+  const Logic* prev = ctx.prev->data();
 
   // Every group starts from the good frame.
   std::copy(s.gval_.begin(), s.gval_.end(), s.fval_.begin());
 
-  // Partition active faults into groups of kFaultSimLanes, skipping faults
-  // that cannot deviate this frame (PROOFS' activity check).
+  // Compact the faults that can deviate into the frame list without a
+  // branch (each is written, and kept if active), then settle them in
+  // groups of kFaultSimLanes in active-list order.  active_ holds no
+  // detected fault: each frame erases its detections below.
+  s.frame_.resize(s.active_.size());
+  std::uint32_t* frame = s.frame_.data();
+  std::size_t n = 0;
+  for (const std::uint32_t fi : s.active_) {
+    const GateId site = fault_site_[fi];
+    const unsigned key = static_cast<unsigned>(fault_kind_[fi]) << 4 |
+                         static_cast<unsigned>(val[site]) << 2 |
+                         static_cast<unsigned>(prev[site]);
+    frame[n] = fi;
+    n += ctx.diverged[fi] | kExcites[key];
+  }
   std::uint64_t detected = 0;
-  for (std::uint32_t fi : s.active_) {
-    if (dropped(fi) || !fault_is_active(fi, ctx)) continue;
-    s.group_.push_back(fi);
-    if (s.group_.size() == kFaultSimLanes) {
-      detected |= settle_group(ctx, stats);
-      s.group_.clear();
-    }
-  }
-  if (!s.group_.empty()) {
-    detected |= settle_group(ctx, stats);
-    s.group_.clear();
-  }
+  for (std::size_t b = 0; b < n; b += kFaultSimLanes)
+    detected |= settle_group(
+        {frame + b, std::min<std::size_t>(kFaultSimLanes, n - b)}, ctx, stats);
 
   // Drop newly detected faults from the active list so later frames of a
   // sequence skip them.
-  if (detected) std::erase_if(s.active_, dropped);
+  if (detected)
+    std::erase_if(s.active_, [&](std::uint32_t fi) {
+      return ctx.commit() ? faults_->status(fi) != FaultStatus::Undetected
+                          : s.eval_detected_[fi] != 0;
+    });
 }
 
 std::uint64_t SequentialFaultSimulator::settle_group(
-    const EvalContext& ctx, FaultSimStats& stats) const {
+    std::span<const std::uint32_t> group, const EvalContext& ctx,
+    FaultSimStats& stats) const {
   const Circuit& c = *circuit_;
   const std::vector<Logic>& val = *ctx.val;  // settled good frame, pre-latch
   const std::vector<Logic>& prev = *ctx.prev;
   FaultSimScratch& s = *ctx.s;
-  const std::vector<std::uint32_t>& group = s.group_;
   constexpr std::uint8_t kOut = FaultSimScratch::kOutInjFlag;
   constexpr std::uint8_t kPin = FaultSimScratch::kPinInjFlag;
   ++s.counters_.fault_groups;
@@ -502,17 +522,14 @@ std::uint64_t SequentialFaultSimulator::settle_group(
     for (std::size_t qi = 0; qi < q.size(); ++qi) {
       const GateId id = q[qi];
       s.fqueued_[id] = 0;
-      const FlatGate& g = gates_[id];
-      const GateId* in = fanins_.data() + g.fanin_begin;
       const std::uint8_t flags = s.inj_flags_[id];
       PackedVal nv =
           (flags & kPin)
-              ? eval_packed_gate(g.type, g.num_fanins,
-                                 [&](std::size_t i) {
-                                   return inject_pins(id, i, fv(in[i]));
-                                 })
-              : eval_packed_gate(g.type, g.num_fanins,
-                                 [&](std::size_t i) { return fv(in[i]); });
+              ? ops_.eval(id,
+                          [&](std::size_t pin, std::uint32_t w) {
+                            return inject_pins(id, pin, s.fval_[w]);
+                          })
+              : ops_.eval(id, s.fval_.data());
       if (flags & kOut) {
         const FaultSimScratch::OutInj& oi = s.out_inj_[id];
         nv.zero = (nv.zero & ~(oi.force1 | oi.forceX)) | oi.force0;
@@ -534,6 +551,7 @@ std::uint64_t SequentialFaultSimulator::settle_group(
     if (ctx.commit()) {
       faults_->mark_detected(fi, ctx.test_index);
       (*ctx.committed_diffs)[fi].clear();
+      ctx.diverged[fi] = 0;
     } else if (!s.eval_detected_[fi]) {
       s.eval_detected_[fi] = 1;
       s.eval_detected_list_.push_back(fi);
@@ -565,7 +583,7 @@ std::uint64_t SequentialFaultSimulator::settle_group(
     std::vector<FfDiff>& nd = s.new_diffs_[lane];
     // Write even when empty: a previously-diverged machine may have
     // re-converged to the good machine.
-    if (!diff_of(fi, ctx).empty() || !nd.empty()) write_diff(fi, nd, ctx);
+    if (ctx.diverged[fi] || !nd.empty()) write_diff(fi, nd, ctx);
     nd.clear();
   }
 

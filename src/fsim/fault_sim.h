@@ -13,9 +13,12 @@
 // the (typical) fault whose machine re-converged to the good machine costs
 // nothing.  Detected faults are dropped.
 //
-// Both machines run on one gate evaluator, eval_packed_gate: the good machine
-// as words whose 64 lanes agree, which every faulty lane starts from.  A
-// group's fault injections live in flat per-gate tables and every working
+// Both machines run on one gate evaluator, the netlist compiled once into
+// branch-free PackedGateOps: the good machine as words whose 64 lanes agree,
+// swept over every gate each frame, which every faulty lane starts from.
+// PROOFS' activity check is a table lookup per fault: a fault joins this
+// frame's groups if its machine has diverged or its injection can excite.
+// A group's fault injections live in flat per-gate tables and every working
 // buffer in a FaultSimScratch that keeps its capacity, so a warm candidate
 // evaluation allocates nothing and hashes nothing.
 //
@@ -146,7 +149,8 @@ class FaultSimScratch {
   // Good machine of one frame: the scalar values (eval_val_/eval_prev_val_
   // hold the evaluated copy of the committed state) and gval_, the same
   // values as words whose 64 lanes agree, which the good sweep computes and
-  // every fault group starts from.
+  // every fault group starts from.  gval_ and fval_ are PackedGateOps word
+  // arrays: the identity words follow the gate words.
   std::vector<Logic> eval_val_;
   std::vector<Logic> eval_prev_val_;
   std::vector<Logic> latch_scratch_;
@@ -169,15 +173,18 @@ class FaultSimScratch {
   std::vector<PinInj> pin_inj_;
   std::vector<GateId> inj_gates_;
 
-  // Faults of one frame (active_), of one group (group_), and flip-flops
-  // to capture for the group, marked per ordinal (ff_mark_).
+  // Faults of one frame (active_), those of them the activity check lets
+  // through, cut into groups of kFaultSimLanes (frame_), and flip-flops to
+  // capture for a group, marked per ordinal (ff_mark_).
   std::vector<std::uint32_t> active_;
-  std::vector<std::uint32_t> group_;
+  std::vector<std::uint32_t> frame_;
   std::vector<std::uint8_t> ff_mark_;
   std::vector<std::vector<FfDiff>> new_diffs_;  // per lane, this group
 
-  // Copy-on-write faulty-state diffs and detections of one evaluation.
+  // Copy-on-write faulty-state diffs and detections of one evaluation;
+  // diverged_ starts as the committed flags and follows scratch_diffs_.
   std::vector<std::vector<FfDiff>> scratch_diffs_;
+  std::vector<std::uint8_t> diverged_;
   std::vector<std::uint8_t> scratch_dirty_;
   std::vector<std::uint32_t> scratch_dirty_list_;
   std::vector<std::uint8_t> eval_detected_;
@@ -239,8 +246,8 @@ class SequentialFaultSimulator {
   // with its own scratch, while no commit runs.
 
   /// Fitness-evaluate a candidate vector against the committed state.
-  /// `fault_subset`: indices into the fault list to simulate (the paper's
-  /// fault sampling); empty means every undetected fault.
+  /// `fault_subset`: distinct indices into the fault list to simulate (the
+  /// paper's fault sampling); empty means every undetected fault.
   FaultSimStats evaluate_vector(
       const TestVector& v, FaultSimScratch& scratch,
       std::span<const std::uint32_t> fault_subset = {}) const;
@@ -290,6 +297,9 @@ class SequentialFaultSimulator {
     // Commit mode only (null while evaluating): the committed per-fault
     // diffs the frame rewrites.
     std::vector<std::vector<FfDiff>>* committed_diffs = nullptr;
+    // Per fault, 1 while its diff is not empty: the committed flags when
+    // committing, the scratch's copy when evaluating.
+    std::uint8_t* diverged = nullptr;
     std::int64_t test_index = -1;
     // False only for explicit fault subsets (sampling mode).  When the full
     // universe is simulated, pruned faults are counted back into
@@ -298,13 +308,12 @@ class SequentialFaultSimulator {
     bool commit() const { return committed_diffs != nullptr; }
   };
 
-  /// One node as the two sweeps read it: the netlist's type, level and
-  /// fanins, and its readers minus frame sources (flip-flops and inputs
-  /// never re-evaluate within a frame).
+  /// One node as the fault groups read it: the netlist's type and level,
+  /// and its readers minus frame sources (flip-flops and inputs never
+  /// re-evaluate within a frame).  Its function is op `id` of ops_.
   struct FlatGate {
     GateType type = GateType::Buf;
     std::uint32_t level = 0;
-    std::uint32_t fanin_begin = 0, num_fanins = 0;    // into fanins_
     std::uint32_t reader_begin = 0, num_readers = 0;  // into readers_
   };
 
@@ -326,15 +335,16 @@ class SequentialFaultSimulator {
                    FaultSimStats& stats) const;
   void latch_good(const EvalContext& ctx, FaultSimStats& stats) const;
 
-  /// The faulty-machine kernel: settle every fault in ctx.s->active_
-  /// against the good frame in *ctx.val, record detections/fault-effects/
-  /// faulty-events into `stats`, update the per-fault diff lists, and erase
-  /// newly detected faults from the active list.
+  /// The faulty-machine kernel: settle every fault in ctx.s->active_ that
+  /// can deviate against the good frame in *ctx.val, record detections/
+  /// fault-effects/faulty-events into `stats`, update the per-fault diff
+  /// lists, and erase newly detected faults from the active list.
   void simulate_fault_groups(const EvalContext& ctx,
                              FaultSimStats& stats) const;
-  /// Settle the faults in ctx.s->group_ (one per lane); returns the lanes
+  /// Settle the faults of `group` (one per lane); returns the lanes
   /// detected at a primary output.
-  std::uint64_t settle_group(const EvalContext& ctx,
+  std::uint64_t settle_group(std::span<const std::uint32_t> group,
+                             const EvalContext& ctx,
                              FaultSimStats& stats) const;
 
   const std::vector<FfDiff>& diff_of(std::uint32_t fi,
@@ -351,11 +361,7 @@ class SequentialFaultSimulator {
 
   /// Value the faulty machine sees on the faulted line this frame, given the
   /// fault-free current and previous-frame values of that line.
-  static Logic forced_value(Injection kind, Logic cur, Logic prev);
-
-  /// True if the fault can deviate this frame: nonempty state diff or an
-  /// injection whose forced value may differ from the good value.
-  bool fault_is_active(std::uint32_t fi, const EvalContext& ctx) const;
+  static constexpr Logic forced_value(Injection kind, Logic cur, Logic prev);
 
   const Circuit* circuit_;
   FaultList* faults_;
@@ -364,10 +370,11 @@ class SequentialFaultSimulator {
   std::vector<Logic> good_val_;                 // every net, last frame
   std::vector<Logic> prev_val_;                 // pre-latch values, last frame
   std::vector<std::vector<FfDiff>> diffs_;      // per fault
+  std::vector<std::uint8_t> diverged_;          // per fault: diff not empty
 
   // Flat, read-only views of the circuit and fault list, built once.
   std::vector<FlatGate> gates_;                 // per gate
-  std::vector<GateId> fanins_;
+  PackedGateOps ops_;                           // op i = gate i
   std::vector<GateId> readers_;
   std::vector<GateId> comb_order_;              // topo order minus sources
   std::vector<GateId> const_nets_;

@@ -5,34 +5,26 @@
 
 namespace gatest {
 
-namespace {
-/// Constant nets hold their value from the start: the settle loop skips
-/// combinational sources, so an all-X reset would otherwise leave CONST0 /
-/// CONST1 nodes at X forever.
-void seed_const_nets(const Circuit& c, std::vector<PackedVal>& values) {
-  for (GateId id = 0; id < c.num_gates(); ++id) {
-    const GateType t = c.gate(id).type;
-    if (t == GateType::Const0)
-      values[id] = PackedVal::broadcast(Logic::Zero);
-    else if (t == GateType::Const1)
-      values[id] = PackedVal::broadcast(Logic::One);
-  }
-}
-}  // namespace
-
-ParallelLogicSim::ParallelLogicSim(const Circuit& c) : circuit_(&c) {
+ParallelLogicSim::ParallelLogicSim(const Circuit& c)
+    : circuit_(&c), ops_(c.num_gates()) {
   if (!c.finalized())
     throw std::runtime_error("ParallelLogicSim: circuit not finalized");
-  values_.assign(c.num_gates(), PackedVal{});
-  seed_const_nets(c, values_);
+  for (const Gate& g : c.gates()) ops_.add(g.type, g.fanins);
   level_queue_.resize(c.num_levels());
-  queued_.assign(c.num_gates(), false);
   lane_events_.assign(64, 0);
+  reset();
 }
 
 void ParallelLogicSim::reset() {
-  values_.assign(circuit_->num_gates(), PackedVal{});
-  seed_const_nets(*circuit_, values_);
+  values_.assign(ops_.num_words(), PackedVal{});
+  ops_.seed_identity_words(values_);
+  // Constant nets hold their value from the start: the settle loop skips
+  // combinational sources, so an all-X reset would otherwise leave CONST0 /
+  // CONST1 nodes at X forever.
+  for (GateId id = 0; id < circuit_->num_gates(); ++id)
+    if (circuit_->gate(id).type == GateType::Const0 ||
+        circuit_->gate(id).type == GateType::Const1)
+      values_[id] = ops_.eval(id, values_.data());
   for (auto& q : level_queue_) q.clear();
   queued_.assign(circuit_->num_gates(), false);
   first_step_ = true;
@@ -165,11 +157,7 @@ LogicSimStats ParallelLogicSim::settle_and_latch() {
     for (std::size_t qi = 0; qi < q.size(); ++qi) {
       const GateId id = q[qi];
       queued_[id] = false;
-      const Gate& g = c.gate(id);
-      const PackedVal v = eval_packed_gate(
-          g.type, g.fanins.size(),
-          [&](std::size_t i) { return values_[g.fanins[i]]; });
-      write_value(id, v, true);
+      write_value(id, ops_.eval(id, values_.data()), true);
     }
     q.clear();
   }

@@ -80,7 +80,8 @@ class ParallelLogicSim {
   LogicSimStats settle_and_latch();
 
   const Circuit* circuit_;
-  std::vector<PackedVal> values_;
+  PackedGateOps ops_;                              // op i = gate i
+  std::vector<PackedVal> values_;                  // PackedGateOps words
   std::vector<std::vector<GateId>> level_queue_;   // pending gates per level
   std::vector<bool> queued_;
   std::vector<std::uint64_t> lane_events_;

@@ -208,9 +208,9 @@ class DictionaryGateTest : public ::testing::TestWithParam<GateType> {};
 
 TEST_P(DictionaryGateTest, SignaturesMatchFaultSimulator) {
   // The dictionary evaluates gates with the scalar eval_logic_gate, the
-  // fault simulator with eval_packed_gate: on a circuit of one gate type
-  // their verdicts and first failing vectors agree for every stuck-at (pin
-  // faults included) and every transition fault.
+  // fault simulator with its compiled PackedGateOps: on a circuit of one
+  // gate type their verdicts and first failing vectors agree for every
+  // stuck-at (pin faults included) and every transition fault.
   const Circuit c = gate_circuit(GetParam());
   const auto tests = random_tests(c, 24, 31);
   for (const bool transition : {false, true}) {

@@ -396,6 +396,32 @@ TEST(FaultSim, SnapshotRestoreRoundTrip) {
   expect_stats_equal(s1, s2, "restore determinism");
 }
 
+TEST(FaultSim, RestoreRejectsShortDiffsOrPrevValues) {
+  // Every array of a snapshot must fit the simulator: one entry short in
+  // the per-fault diffs or in the previous frame's values throws, and the
+  // committed state stays as it was.
+  const Circuit c = benchmark_circuit("s298", 3);
+  FaultList fl(c);
+  SequentialFaultSimulator sim(c, fl);
+  Rng rng(29);
+  for (int i = 0; i < 8; ++i) sim.apply_vector(random_vector(c, rng), i);
+  FaultSimSnapshot short_diffs = sim.snapshot();
+  FaultSimSnapshot short_prev = short_diffs;
+  const auto snap_state = sim.good_ff_state();
+  for (int i = 0; i < 4; ++i) sim.apply_vector(random_vector(c, rng), 8 + i);
+  const auto state = sim.good_ff_state();
+  const std::size_t det = fl.num_detected();
+  ASSERT_NE(state, snap_state);
+
+  short_diffs.diffs.pop_back();
+  short_prev.prev_values.pop_back();
+  EXPECT_THROW(sim.restore(short_diffs), std::runtime_error);
+  EXPECT_EQ(sim.good_ff_state(), state);
+  EXPECT_THROW(sim.restore(short_prev), std::runtime_error);
+  EXPECT_EQ(sim.good_ff_state(), state);
+  EXPECT_EQ(fl.num_detected(), det);
+}
+
 TEST(FaultSim, FaultSamplingRestrictsSimulation) {
   const Circuit c = benchmark_circuit("s298", 3);
   FaultList fl(c);

@@ -595,6 +595,18 @@ TEST(GaTestGenerator, WorkCountersDoNotDependOnThreadCount) {
     EXPECT_EQ(counts["fitness.sim_evaluations"], 4035u)
         << threads << " threads";
     EXPECT_EQ(counts["fitness.cache.hits"], 3325u) << threads << " threads";
+    // The kernel's exact work: lanes are the faults the activity check let
+    // through, good events the good-machine values that changed.
+    EXPECT_EQ(counts["fsim.candidate_evaluations"], 4049u)
+        << threads << " threads";
+    EXPECT_EQ(counts["fsim.frames_simulated"], 62143u)
+        << threads << " threads";
+    EXPECT_EQ(counts["fsim.fault_groups"], 124275u) << threads << " threads";
+    EXPECT_EQ(counts["fsim.fault_group_lanes"], 6519890u)
+        << threads << " threads";
+    EXPECT_EQ(counts["fsim.good_events"], 2510892u) << threads << " threads";
+    EXPECT_EQ(counts["fsim.faulty_events"], 8033970u)
+        << threads << " threads";
     // Parallel timing: each participating thread's busy time per batch, and
     // max/mean over a batch's participants, which lies in [1, threads].
     const telemetry::Histogram& busy =

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "circuitgen/circuitgen.h"
@@ -49,27 +50,35 @@ TEST(Logic, TruthTables) {
 
 // ---- packed values ----------------------------------------------------------
 
-Logic ref_and(Logic a, Logic b) { return logic_and(a, b); }
-Logic ref_or(Logic a, Logic b) { return logic_or(a, b); }
-Logic ref_xor(Logic a, Logic b) { return logic_xor(a, b); }
-
 class PackedOpTest
     : public ::testing::TestWithParam<std::tuple<Logic, Logic>> {};
 
 TEST_P(PackedOpTest, MatchesScalarSemantics) {
   const auto [a, b] = GetParam();
-  PackedVal pa{}, pb{};
-  pa.set_lane(0, a);
-  pa.set_lane(17, a);
-  pb.set_lane(0, b);
-  pb.set_lane(17, b);
-  EXPECT_EQ(pv_and(pa, pb).lane(0), ref_and(a, b));
-  EXPECT_EQ(pv_or(pa, pb).lane(0), ref_or(a, b));
-  EXPECT_EQ(pv_xor(pa, pb).lane(0), ref_xor(a, b));
-  EXPECT_EQ(pv_not(pa).lane(0), logic_not(a));
-  EXPECT_EQ(pv_and(pa, pb).lane(17), ref_and(a, b));
+  // Two nets a and b, then AND, OR, XOR and NOT ops over them.
+  PackedGateOps ops(2);
+  const std::uint32_t ab[] = {0, 1};
+  ops.add(GateType::Input, {});
+  ops.add(GateType::Input, {});
+  ops.add(GateType::And, ab);
+  ops.add(GateType::Or, ab);
+  ops.add(GateType::Xor, ab);
+  ops.add(GateType::Not, {ab, 1});
+  std::vector<PackedVal> w(ops.num_words());
+  ops.seed_identity_words(w);
+  w[0].set_lane(0, a);
+  w[0].set_lane(17, a);
+  w[1].set_lane(0, b);
+  w[1].set_lane(17, b);
+  EXPECT_EQ(ops.eval(2, w.data()).lane(0), logic_and(a, b));
+  EXPECT_EQ(ops.eval(3, w.data()).lane(0), logic_or(a, b));
+  EXPECT_EQ(ops.eval(4, w.data()).lane(0), logic_xor(a, b));
+  EXPECT_EQ(ops.eval(5, w.data()).lane(0), logic_not(a));
+  EXPECT_EQ(ops.eval(2, w.data()).lane(17), logic_and(a, b));
   // Untouched lanes stay X.
-  EXPECT_EQ(pv_and(pa, pb).lane(5), ref_and(Logic::X, Logic::X));
+  EXPECT_EQ(ops.eval(2, w.data()).lane(5), Logic::X);
+  // An input's op reads the input's own word.
+  EXPECT_EQ(ops.eval(0, w.data()), w[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -105,27 +114,71 @@ TEST(PackedVal, SetLaneOverwrites) {
 }
 
 TEST(PackedGateEval, NaryGates) {
-  const PackedVal one = PackedVal::broadcast(Logic::One);
-  const PackedVal zero = PackedVal::broadcast(Logic::Zero);
-  std::vector<PackedVal> ins{one, one, zero};
-  auto at = [&](std::size_t i) { return ins[i]; };
-  EXPECT_EQ(eval_packed_gate(GateType::And, 3, at).lane(0), Logic::Zero);
-  EXPECT_EQ(eval_packed_gate(GateType::Nand, 3, at).lane(0), Logic::One);
-  EXPECT_EQ(eval_packed_gate(GateType::Or, 3, at).lane(0), Logic::One);
-  EXPECT_EQ(eval_packed_gate(GateType::Nor, 3, at).lane(0), Logic::Zero);
-  EXPECT_EQ(eval_packed_gate(GateType::Xor, 3, at).lane(0), Logic::Zero);
-  EXPECT_EQ(eval_packed_gate(GateType::Xnor, 3, at).lane(0), Logic::One);
-  EXPECT_EQ(eval_packed_gate(GateType::Const1, 0, at).lane(7), Logic::One);
+  // Six nets: 1, 1, 0, 1, 1, 1.  Ops 0-6 read the first three, ops 7-9 all
+  // six (two past the fourth fanin, through the overflow fold).
+  PackedGateOps ops(6);
+  const std::uint32_t three[] = {0, 1, 2};
+  const std::uint32_t six[] = {0, 1, 2, 3, 4, 5};
+  const std::uint32_t high[] = {0, 1, 3, 4, 5};
+  for (const GateType t : {GateType::And, GateType::Nand, GateType::Or,
+                           GateType::Nor, GateType::Xor, GateType::Xnor})
+    ops.add(t, three);
+  ops.add(GateType::Const1, {});
+  ops.add(GateType::And, six);
+  ops.add(GateType::Xor, six);
+  ops.add(GateType::Nand, high);
+  std::vector<PackedVal> w(ops.num_words(), PackedVal::broadcast(Logic::One));
+  w[2] = PackedVal::broadcast(Logic::Zero);
+  ops.seed_identity_words(w);
+  const auto at = [&](std::size_t i) { return ops.eval(i, w.data()).lane(0); };
+  EXPECT_EQ(at(0), Logic::Zero);
+  EXPECT_EQ(at(1), Logic::One);
+  EXPECT_EQ(at(2), Logic::One);
+  EXPECT_EQ(at(3), Logic::Zero);
+  EXPECT_EQ(at(4), Logic::Zero);
+  EXPECT_EQ(at(5), Logic::One);
+  EXPECT_EQ(ops.eval(6, w.data()).lane(7), Logic::One);
+  EXPECT_EQ(at(7), Logic::Zero);
+  EXPECT_EQ(at(8), Logic::One);
+  EXPECT_EQ(at(9), Logic::Zero);
+
+  // The accessor sees every pin once, in order: the fanins, then identity
+  // words on the pins a narrow gate leaves empty (0 for OR, 1 for AND).
+  std::vector<std::pair<std::size_t, std::uint32_t>> seen;
+  const auto record = [&](std::size_t pin, std::uint32_t word) {
+    seen.emplace_back(pin, word);
+    return w[word];
+  };
+  ops.eval(7, record);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::size_t, std::uint32_t>>{
+                      {0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}}));
+  seen.clear();
+  ops.eval(2, record);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::size_t, std::uint32_t>>{
+                      {0, 0}, {1, 1}, {2, 2}, {3, 7}}));
+  seen.clear();
+  ops.eval(0, record);
+  EXPECT_EQ(seen.back(), (std::pair<std::size_t, std::uint32_t>{3, 6}));
+  // A pin forced through the accessor: the 5-input NAND's pin 4 (net 5)
+  // stuck at 0 makes it 1.
+  EXPECT_EQ(ops.eval(9,
+                     [&](std::size_t pin, std::uint32_t word) {
+                       return pin == 4 ? PackedVal::broadcast(Logic::Zero)
+                                       : w[word];
+                     })
+                .lane(0),
+            Logic::One);
 }
 
-// ---- scalar gate evaluator ----------------------------------------------------
+// ---- scalar and compiled gate evaluators ---------------------------------------
 //
 // eval_logic_gate is PODEM's scalar evaluator; the fault simulator runs both
-// of its machines on eval_packed_gate.  Every ternary input combination of
-// every fanin count is checked against eval_packed_gate (one combination per
+// of its machines on PackedGateOps.  Every ternary input combination of
+// every fanin count is checked against the compiled op (one combination per
 // lane) and against an independent oracle: a single gate's ternary output is
 // binary exactly when every binary completion of its X inputs gives the same
-// value, so the test holds both evaluators to the same truth tables.
+// value, so the test holds both evaluators to the same truth tables.  Five
+// and six fanins run the op's overflow fold.
 
 bool binary_gate_function(GateType type, const std::vector<bool>& in) {
   bool acc = in.empty() ? false : in[0];
@@ -180,15 +233,25 @@ TEST_P(LogicGateEvalTest, MatchesPackedEvaluatorAndBinaryCompletions) {
     case GateType::Dff:
     case GateType::Buf:
     case GateType::Not:    arities = {1}; break;
-    default:               arities = {2, 3, 4}; break;
+    default:               arities = {2, 3, 4, 5, 6}; break;
   }
   for (const std::size_t k : arities) {
     std::size_t combos = 1;
     for (std::size_t i = 0; i < k; ++i) combos *= 3;
+    // A netlist of k inputs and the gate (net k) reading them; an INPUT
+    // gate reads its own word, which stays X.
+    PackedGateOps ops(k + 1);
+    std::vector<std::uint32_t> fanins(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      fanins[i] = static_cast<std::uint32_t>(i);
+      ops.add(GateType::Input, {});
+    }
+    ops.add(type, fanins);
     // Pack combinations into 64-lane words, one combination per lane.
     for (std::size_t base = 0; base < combos; base += 64) {
       const std::size_t lanes = std::min<std::size_t>(64, combos - base);
-      std::vector<PackedVal> packed(k);
+      std::vector<PackedVal> packed(ops.num_words());
+      ops.seed_identity_words(packed);
       std::vector<std::vector<Logic>> scalar(lanes, std::vector<Logic>(k));
       for (std::size_t l = 0; l < lanes; ++l) {
         std::size_t code = base + l;
@@ -197,8 +260,7 @@ TEST_P(LogicGateEvalTest, MatchesPackedEvaluatorAndBinaryCompletions) {
           packed[i].set_lane(static_cast<unsigned>(l), scalar[l][i]);
         }
       }
-      const PackedVal pout = eval_packed_gate(
-          type, k, [&](std::size_t i) { return packed[i]; });
+      const PackedVal pout = ops.eval(k, packed.data());
       for (std::size_t l = 0; l < lanes; ++l) {
         const std::vector<Logic>& in = scalar[l];
         const Logic got =
